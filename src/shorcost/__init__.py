@@ -34,6 +34,7 @@ from .oracle import (
     BasisState,
     Counterexample,
     NonClassicalGateError,
+    domain_size,
     exhaustive_check,
     randomized_check,
     simulate,
@@ -98,6 +99,7 @@ __all__ = [
     "check_conformance",
     "crossover_bits",
     "decompose_toffoli",
+    "domain_size",
     "empirical_bridge",
     "exhaustive_check",
     "metrics",

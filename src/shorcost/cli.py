@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from .arithmetic import (
     build_modmul_const,
 )
 from .circuit import Circuit, CircuitError
-from .oracle import exhaustive_check, randomized_check
+from .oracle import domain_size, exhaustive_check, randomized_check
 from .scaling import (
     MODELS,
     ClassicalModel,
@@ -74,16 +75,33 @@ def _parse_wall(text: str) -> float:
         value = float(m.group(1))
     except ValueError:
         raise _UsageError(f"cannot parse wall time {text!r}") from None
-    return value * _WALL_UNITS[m.group(2) or "s"]
+    seconds = value * _WALL_UNITS[m.group(2) or "s"]
+    if not math.isfinite(seconds):
+        raise _UsageError(f"wall time {text!r} is not a finite number of seconds")
+    return seconds
 
 
 def _parse_floats(text: str) -> list[float]:
     if not text:
         return []
     try:
-        return [float(part) for part in text.split(",")]
+        values = [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"bad numeric list {text!r}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise _UsageError(f"bad numeric list {text!r}: values must be finite")
+    return values
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a float option that must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -129,7 +147,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _reg_len(circ: Circuit, name: str) -> int:
-    return circ.register(name).length
+    try:
+        return circ.register(name).length
+    except KeyError:
+        raise CircuitError(
+            f"circuit has no register {name!r}; does --spec match the circuit?"
+        ) from None
 
 
 def _has_reg(circ: Circuit, name: str) -> bool:
@@ -208,9 +231,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     circ = _load_circuit(args.circuit)
     domain, fn = _contract(circ, args)
     if args.exhaustive:
-        cases = 1
-        for space in domain.values():
-            cases *= len(space)
+        cases = domain_size(domain)
         cx = exhaustive_check(circ, fn, domain)
     else:
         cases = args.trials
@@ -379,8 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossover", help="smallest n where the quantum curve wins")
     p.add_argument("--model", required=True)
-    p.add_argument("--clock", type=float, required=True)
-    p.add_argument("--compute-factor", type=float, default=1.0)
+    p.add_argument("--clock", type=_finite_float, required=True)
+    p.add_argument("--compute-factor", type=_finite_float, default=1.0)
     p.set_defaults(func=_cmd_crossover)
 
     return parser

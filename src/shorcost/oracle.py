@@ -4,23 +4,35 @@ NOT / CNOT / TOFFOLI / SWAP permute computational basis states, so a
 circuit built from them can be checked against plain integer arithmetic.
 CV and CVDAG leave the basis and are rejected.
 
-Two engines share one semantics: a single-state walker over Python ints
-(``simulate``) and a packed engine that advances a whole batch of basis
-states through the gate list with numpy bit tricks, which is what makes
-exhaustive sweeps over 2^16-point domains cheap.  Register values decode
-little-endian: the bit at a register's offset is its least significant.
+``exhaustive_check`` and ``randomized_check`` share one bit-sliced engine
+(Biham, FSE 1997).  It walks its inputs in chunks of ``_CHUNK`` basis
+states and keeps one Python int per wire, whose bit i is that wire's value
+in state i of the chunk.  A gate is then one big-int operation for the
+whole chunk: NOT XORs the row with all-ones, CNOT XORs one row into
+another, TOFFOLI XORs in the AND of two rows and SWAP exchanges two rows.
+Register values move into and out of rows with numpy ``packbits`` /
+``unpackbits``, 64 bits at a time, so every register width takes the same
+path.  An exhaustive domain is never materialised: each chunk is addressed
+by its mixed-radix index into the registers' value sequences.
+
+``simulate_mask`` walks one state at a time over a plain int.  It is kept
+as the independent reference the engine is tested against.  Register
+values decode little-endian: the bit at a register's offset is its least
+significant.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, GateKind, Register
+from .circuit import Circuit, CircuitError, Gate, GateKind, Register
 
 __all__ = [
     "BasisState",
@@ -28,6 +40,7 @@ __all__ = [
     "Counterexample",
     "simulate",
     "simulate_mask",
+    "domain_size",
     "exhaustive_check",
     "randomized_check",
 ]
@@ -35,9 +48,6 @@ __all__ = [
 
 class NonClassicalGateError(CircuitError):
     """Raised when simulation meets a gate with no basis-state action."""
-
-
-_CLASSICAL = (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,70 +123,146 @@ def simulate(circuit: Circuit, state: BasisState) -> BasisState:
     return BasisState(state.width, simulate_mask(circuit, state.mask))
 
 
-# -- packed batch engine ----------------------------------------------
+# -- bit-sliced engine -------------------------------------------------
 
-_ONE = np.uint64(1)
+_CHUNK = 1 << 16
+"""Basis states simulated together: the bit length of every wire row."""
 
+_LIMB = 64
+_LIMB_MASK = (1 << _LIMB) - 1
 
-class _PackedBatch:
-    """A batch of basis states, one uint64 lane per 64 wires."""
-
-    def __init__(self, width: int, masks: Sequence[int]):
-        self.width = width
-        self.n_lanes = (width + 63) // 64
-        self.count = len(masks)
-        full = (1 << 64) - 1
-        self.lanes = [
-            np.array([(m >> (64 * l)) & full for m in masks], dtype=np.uint64)
-            for l in range(self.n_lanes)
-        ]
-
-    def run(self, circuit: Circuit) -> None:
-        lanes = self.lanes
-        for g in circuit.gates:
-            kind = g.kind
-            if kind is GateKind.NOT:
-                (t,) = g.operands
-                lanes[t >> 6] ^= _ONE << np.uint64(t & 63)
-            elif kind is GateKind.CNOT:
-                c, t = g.operands
-                bit = (lanes[c >> 6] >> np.uint64(c & 63)) & _ONE
-                lanes[t >> 6] ^= bit << np.uint64(t & 63)
-            elif kind is GateKind.TOFFOLI:
-                c1, c2, t = g.operands
-                b = (lanes[c1 >> 6] >> np.uint64(c1 & 63)) & (
-                    lanes[c2 >> 6] >> np.uint64(c2 & 63)
-                ) & _ONE
-                lanes[t >> 6] ^= b << np.uint64(t & 63)
-            elif kind is GateKind.SWAP:
-                i, j = g.operands
-                d = (
-                    (lanes[i >> 6] >> np.uint64(i & 63))
-                    ^ (lanes[j >> 6] >> np.uint64(j & 63))
-                ) & _ONE
-                lanes[i >> 6] ^= d << np.uint64(i & 63)
-                lanes[j >> 6] ^= d << np.uint64(j & 63)
-            else:
-                raise NonClassicalGateError(
-                    f"non-classical gate {kind.value} has no basis-state semantics"
-                )
-
-    def register_values(self, reg: Register) -> np.ndarray:
-        """Little-endian values of one register across the batch."""
-        out = np.zeros(self.count, dtype=np.uint64)
-        for k, q in enumerate(reg.qubits):
-            bit = (self.lanes[q >> 6] >> np.uint64(q & 63)) & _ONE
-            out |= bit << np.uint64(k)
-        return out
-
-    def mask(self, index: int) -> int:
-        m = 0
-        for l, lane in enumerate(self.lanes):
-            m |= int(lane[index]) << (64 * l)
-        return m
+_NOT, _CNOT, _TOFFOLI, _SWAP = (
+    GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP
+)
 
 
-# -- checking helpers --------------------------------------------------
+def _run(gates: Sequence[Gate], rows: list[int], ones: int) -> None:
+    """Apply the gates to every state of a chunk at once, in place."""
+    for g in gates:
+        kind = g.kind
+        ops = g.operands
+        if kind is _TOFFOLI:
+            a, b, t = ops
+            rows[t] ^= rows[a] & rows[b]
+        elif kind is _CNOT:
+            a, t = ops
+            rows[t] ^= rows[a]
+        elif kind is _NOT:
+            rows[ops[0]] ^= ones
+        elif kind is _SWAP:
+            a, b = ops
+            rows[a], rows[b] = rows[b], rows[a]
+        else:
+            raise NonClassicalGateError(
+                f"non-classical gate {kind.value} has no basis-state semantics"
+            )
+
+
+def _flag_row(flags: Sequence[bool]) -> int:
+    """One row with bit i set where ``flags[i]`` is true."""
+    packed = np.packbits(np.array(flags, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _to_rows(values: Sequence[int], length: int) -> list[int]:
+    """Bit-slice non-negative ``length``-bit values: row j holds bit j of
+    every value, with value i at bit i.  Wide values go 64-bit limb by limb."""
+    rows = []
+    for lo in range(0, length, _LIMB):
+        width = min(_LIMB, length - lo)
+        limb = values if length <= _LIMB else [v >> lo & _LIMB_MASK for v in values]
+        octets = np.array(limb, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(
+            octets[:, : (width + 7) // 8], axis=1, count=width, bitorder="little"
+        )
+        packed = np.packbits(bits.T, axis=1, bitorder="little")
+        rows += [int.from_bytes(p.tobytes(), "little") for p in packed]
+    return rows
+
+
+def _value(rows: Sequence[int], reg: Register, i: int) -> int:
+    """Register value in state i of a chunk."""
+    return sum((rows[q] >> i & 1) << j for j, q in enumerate(reg.qubits))
+
+
+def _size(space: Sequence[int]) -> int:
+    """Number of values in a space.  ``len`` overflows on a range longer
+    than 2^63, so ranges are counted from their bounds."""
+    if isinstance(space, range):
+        step = space.step
+        return max(0, (space.stop - space.start + step - (1 if step > 0 else -1)) // step)
+    return len(space)
+
+
+def domain_size(domain: Mapping[str, Sequence[int]]) -> int:
+    """Number of inputs ``exhaustive_check`` walks: the size of the product."""
+    return math.prod(_size(space) for space in domain.values())
+
+
+def _validate_domain(
+    circuit: Circuit, domain: Mapping[str, Sequence[int]]
+) -> None:
+    """Reject a domain naming a missing register or holding a value that
+    does not fit its register, before anything is simulated."""
+    regs = {r.name: r for r in circuit.registers}
+    for name, space in domain.items():
+        if name not in regs:
+            raise CircuitError(
+                f"domain names register {name!r}, which the circuit lacks "
+                f"(it has {', '.join(regs) or 'none'})"
+            )
+        if not _size(space):
+            continue
+        if isinstance(space, range):
+            lo, hi = sorted((space[0], space[-1]))
+        else:
+            lo, hi = min(space), max(space)
+        for value in (lo, hi):
+            if not 0 <= value < (1 << regs[name].length):
+                raise CircuitError(f"value {value} does not fit register {name}")
+
+
+def _column(space: Sequence[int], size: int, stride: int, start: int, k: int) -> list[int]:
+    """Values of one register at product indices ``start .. start+k-1``,
+    where its digit (an index into ``space``) advances every ``stride``."""
+    digit, skip = divmod(start, stride)
+    head = min(stride - skip, k)
+    mid, tail = divmod(k - head, stride)
+    need = 1 + mid + (tail > 0)
+    digit %= size
+    vals = list(space[digit : digit + need])
+    if len(vals) < need:  # wraps round to the start of the space
+        laps, rest = divmod(need - len(vals), size)
+        vals += list(space) * laps + list(space[:rest])
+    if stride == 1:
+        return vals
+    col = [vals[0]] * head
+    col += chain.from_iterable(map(repeat, vals[1 : 1 + mid], repeat(stride)))
+    if tail:
+        col += [vals[-1]] * tail
+    return col
+
+
+_Chunk = tuple[int, dict[str, list[int]]]
+"""A chunk's state count and, per domain register, its value in each state."""
+
+
+def _product_chunks(domain: Mapping[str, Sequence[int]]) -> Iterator[_Chunk]:
+    """The cartesian product of the domain in product order (last register
+    fastest), ``_CHUNK`` states at a time."""
+    spaces = list(domain.items())
+    sizes = [_size(space) for _, space in spaces]
+    strides = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
+    total = math.prod(sizes)
+    for start in range(0, total, _CHUNK):
+        k = min(_CHUNK, total - start)
+        yield k, {
+            name: _column(space, size, stride, start, k)
+            for (name, space), size, stride in zip(spaces, sizes, strides)
+        }
+
+
+# -- checking ----------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,64 +283,82 @@ class Counterexample:
 SpecFn = Callable[[Mapping[str, int]], Mapping[str, int]]
 
 
-def _pack_inputs(circuit: Circuit, assignments: list[dict[str, int]]) -> list[int]:
-    regs = {r.name: r for r in circuit.registers}
-    masks = []
-    for a in assignments:
-        m = 0
-        for name, value in a.items():
-            r = regs[name]
-            if not 0 <= value < (1 << r.length):
-                raise CircuitError(f"value {value} does not fit register {name}")
-            m |= value << r.offset
-        masks.append(m)
-    return masks
+def _mismatch(
+    reg: Register,
+    got: list[int],
+    given: Iterable[int],
+    expected: list[dict[str, int]],
+    ones: int,
+    check_untouched: bool,
+) -> int:
+    """Row flagging the states where register ``reg`` holds ``got`` but the
+    spec wants something else; ``given`` are the register's input values."""
+    name = reg.name
+    try:
+        want, care = list(map(itemgetter(name), expected)), ones
+    except KeyError:  # the spec leaves the register out for some inputs
+        if check_untouched:
+            care = ones
+        else:
+            given, care = repeat(0), _flag_row([name in e for e in expected])
+        want = list(map(dict.get, expected, repeat(name), given))
+    bad = 0
+    limit = 1 << reg.length
+    if min(want) < 0 or max(want) >= limit:
+        fits = [0 <= w < limit for w in want]
+        bad = _flag_row([not f for f in fits])
+        want = [w if f else 0 for w, f in zip(want, fits)]
+    return (bad | _diff(got, _to_rows(want, reg.length))) & care
+
+
+def _diff(a: list[int], b: list[int]) -> int:
+    """Row flagging the states where two row lists differ in any bit."""
+    out = 0
+    for x, y in zip(a, b):
+        out |= x ^ y
+    return out
 
 
 def _check(
     circuit: Circuit,
     spec: SpecFn,
-    assignments: list[dict[str, int]],
+    chunks: Iterator[_Chunk],
     check_untouched: bool,
 ) -> Counterexample | None:
-    if not assignments:
-        return None
-    masks = _pack_inputs(circuit, assignments)
-    batch = _PackedBatch(circuit.width, masks)
-    batch.run(circuit)
+    """First counterexample over the chunks, in their order, or None."""
+    regs = circuit.registers
+    names = [r.name for r in regs]
+    for k, cols in chunks:
+        ones = (1 << k) - 1
+        before = [0] * circuit.width
+        for r in regs:
+            if r.name in cols:
+                before[r.offset : r.offset + r.length] = _to_rows(cols[r.name], r.length)
+        rows = before.copy()
+        _run(circuit.gates, rows, ones)
 
-    inputs = [
-        {r.name: (m >> r.offset) & ((1 << r.length) - 1) for r in circuit.registers}
-        for m in masks
-    ]
-    expected = [dict(spec(inp)) for inp in inputs]
-
-    bad = np.zeros(len(masks), dtype=bool)
-    actual_by_reg = {r.name: batch.register_values(r) for r in circuit.registers}
-    for r in circuit.registers:
-        actual = actual_by_reg[r.name]
-        want = np.array(
-            [
-                e[r.name] if r.name in e else (inp[r.name] if check_untouched else None)
-                for e, inp in zip(expected, inputs)
-            ],
-            dtype=object,
-        )
-        defined = np.array([w is not None for w in want])
-        if defined.any():
-            wv = np.array(
-                [int(w) if w is not None else 0 for w in want], dtype=np.uint64
+        zeros = [0] * k
+        columns = [cols.get(name, zeros) for name in names]
+        states = zip(*columns) if columns else repeat((), k)
+        # one input dict at a time: only the spec's answers are kept
+        inputs = map(dict, map(zip, repeat(names), states))
+        expected = list(map(dict, map(spec, inputs)))
+        named = set().union(*expected)
+        bad = 0
+        for r, col in zip(regs, columns):
+            span = slice(r.offset, r.offset + r.length)
+            if r.name in named:
+                bad |= _mismatch(r, rows[span], col, expected, ones, check_untouched)
+            elif check_untouched:
+                bad |= _diff(rows[span], before[span])
+        if bad:
+            i = (bad & -bad).bit_length() - 1
+            return Counterexample(
+                input_registers={name: col[i] for name, col in zip(names, columns)},
+                expected=expected[i],
+                actual={r.name: _value(rows, r, i) for r in regs},
             )
-            bad |= defined & (actual != wv)
-
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    return Counterexample(
-        input_registers=inputs[i],
-        expected=expected[i],
-        actual={name: int(vals[i]) for name, vals in actual_by_reg.items()},
-    )
+    return None
 
 
 def exhaustive_check(
@@ -272,13 +376,11 @@ def exhaustive_check(
     registers it cares about; with ``check_untouched`` every other register
     must come back unchanged (which is how ancilla cleanliness is enforced).
     Returns the first counterexample in product order, or None on a clean pass.
+    The product is streamed, so memory does not grow with the domain, and
+    the check stops at the chunk holding the first counterexample.
     """
-    names = list(domain.keys())
-    assignments = [
-        dict(zip(names, combo))
-        for combo in itertools.product(*(domain[name] for name in names))
-    ]
-    return _check(circuit, spec, assignments, check_untouched)
+    _validate_domain(circuit, domain)
+    return _check(circuit, spec, _product_chunks(domain), check_untouched)
 
 
 def randomized_check(
@@ -297,8 +399,19 @@ def randomized_check(
     if trials < 0:
         raise CircuitError("trials must be non-negative")
     rng = random.Random(seed)
-    assignments = [
-        {name: rng.choice(space) for name, space in domain.items()}
-        for _ in range(trials)
-    ]
-    return _check(circuit, spec, assignments, check_untouched)
+    spaces = [(name, space, _size(space)) for name, space in domain.items()]
+    if trials and not all(size for _, _, size in spaces):
+        raise CircuitError("cannot sample from an empty value sequence")
+    cols: dict[str, list[int]] = {name: [] for name in domain}
+    for _ in range(trials):
+        for name, space, size in spaces:
+            cols[name].append(space[rng.randrange(size)])
+    _validate_domain(circuit, cols)
+    chunks = (
+        (
+            min(_CHUNK, trials - start),
+            {name: col[start : start + _CHUNK] for name, col in cols.items()},
+        )
+        for start in range(0, trials, _CHUNK)
+    )
+    return _check(circuit, spec, chunks, check_untouched)

@@ -228,6 +228,14 @@ def test_modexp_other_moduli_pipeline():
         assert cx is None, (modulus, base, cx)
 
 
+def test_modexp_n8_all_exponents():
+    """Every one of the 2^16 exponents of an 8-bit serial modexp."""
+    spec = ModexpSpec(n=8, modulus=221, base=5, s=1)
+    c = build_modexp(spec)
+    cx = exhaustive_check(c, modexp_spec_fn(5, 221), {"e": range(1 << 16)})
+    assert cx is None
+
+
 def test_modexp_grouped_lanes_randomized():
     """s >= 4 splits the exponent into pipelined groups joined by a
     multiply tree; checked against integer square-and-multiply."""

@@ -86,6 +86,57 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_contract_mismatch_exits_2(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert run(["build", "--kind", "modexp", "--n", "4", "--modulus", "15",
+                "--base", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for spec in ("adder", "modadd", "modmul"):
+        assert run(["verify", "--circuit", str(out), "--spec", spec,
+                    "--modulus", "15", "--base", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("shorcost: ") and "register" in captured.err
+
+
+def test_verify_exhaustive_counts_cases_past_2_to_63(tmp_path, capsys, monkeypatch):
+    """The pass report's case count is exact however large the domain."""
+    import shorcost.cli as cli
+
+    monkeypatch.setattr(cli, "exhaustive_check", lambda circ, fn, domain: None)
+    out = tmp_path / "a.json"
+    assert run(["build", "--kind", "adder", "--n", "40", "--out", str(out)]) == 0
+    assert run(["verify", "--circuit", str(out), "--spec", "adder", "--exhaustive"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"result": "pass", "cases": 1 << 81}
+
+
+def test_clock_for_rejects_infinite_wall(capsys):
+    assert run(["clock-for", "--model", "bcdp", "--bits", "576",
+                "--wall", "1e999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+def test_crossover_rejects_non_finite_clock(capsys):
+    for value in ("nan", "inf", "-inf"):
+        assert run(["crossover", "--model", "bcdp", f"--clock={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+    assert run(["crossover", "--model", "bcdp", "--clock", "4000",
+                "--compute-factor", "nan"]) == 2
+    capsys.readouterr()
+
+
+def test_scale_rejects_non_finite_numbers(tmp_path, capsys):
+    assert run(["scale", "--clocks", "1,nan"]) == 2
+    assert run(["scale", "--compute-factors", "inf"]) == 2
+    csv_path = tmp_path / "x.csv"
+    assert run(["scale", "--clocks", "nan", "--csv", str(csv_path)]) == 2
+    assert not csv_path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
 def test_missing_file_exits_3(capsys):
     assert run(["verify", "--circuit", "/nonexistent/c.json",
                 "--spec", "adder"]) == 3
