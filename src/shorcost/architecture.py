@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import GATE_ARITY, Circuit, CircuitError, Gate, GateKind
+from .circuit import KIND_CODE, Circuit, CircuitError, Gate, GateKind
 
 __all__ = [
     "ArchModel",
@@ -53,35 +53,43 @@ class ConformanceReport:
 
 def check_conformance(circuit: Circuit, model: ArchModel) -> ConformanceReport:
     """Check every gate against the model's arity and adjacency rules."""
-    for idx, g in enumerate(circuit.gates):
-        ops = g.operands
-        if len(ops) > model.max_arity:
-            return ConformanceReport(False, idx)
-        if model.adjacency_required and len(ops) == 2:
-            if abs(ops[0] - ops[1]) != 1:
-                return ConformanceReport(False, idx)
+    _, ops = circuit.as_arrays()
+    arity = (ops >= 0).sum(axis=1)  # an unused operand slot holds -1
+    bad = arity > model.max_arity
+    if model.adjacency_required:
+        bad |= (arity == 2) & (np.abs(ops[:, 0] - ops[:, 1]) != 1)
+    if bad.any():
+        return ConformanceReport(False, int(bad.argmax()))
     return ConformanceReport(True, None)
 
 
 # -- Toffoli decomposition ---------------------------------------------
+
+_CV, _CNOT, _CVDAG, _SWAP, _TOFFOLI = (
+    KIND_CODE[k]
+    for k in (GateKind.CV, GateKind.CNOT, GateKind.CVDAG, GateKind.SWAP, GateKind.TOFFOLI)
+)
+
 
 def decompose_toffoli(circuit: Circuit) -> Circuit:
     """Rewrite each TOFFOLI(a,b,t) as CV(b,t) CNOT(a,b) CVDAG(b,t) CNOT(a,b) CV(a,t).
 
     Other gates pass through unchanged; order is otherwise preserved.
     """
-    out = Circuit(circuit.width, circuit.registers)
-    for g in circuit.gates:
-        if g.kind is GateKind.TOFFOLI:
-            a, b, t = g.operands
-            out.cv(b, t)
-            out.cx(a, b)
-            out.cvdag(b, t)
-            out.cx(a, b)
-            out.cv(a, t)
-        else:
-            out.append(g)
-    return out
+    kinds, ops = circuit.as_arrays()
+    toffoli = kinds == _TOFFOLI
+    count = np.where(toffoli, 5, 1)
+    first = (np.cumsum(count) - count)[toffoli]  # where each expansion starts
+    out_kinds = np.repeat(kinds, count)
+    out_ops = np.repeat(ops, count, axis=0)
+    a, b, t = ops[toffoli].T
+    unused = np.full_like(a, -1)
+    for step, (kind, pair) in enumerate(
+        [(_CV, (b, t)), (_CNOT, (a, b)), (_CVDAG, (b, t)), (_CNOT, (a, b)), (_CV, (a, t))]
+    ):
+        out_kinds[first + step] = kind
+        out_ops[first + step] = np.stack([*pair, unused], axis=1)
+    return Circuit.from_arrays(circuit.width, circuit.registers, out_kinds, out_ops)
 
 
 # Exact dyadic entries: V = sqrt(NOT), so V^2 = NOT and V V^dag = I.
@@ -181,11 +189,15 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, LayoutPermutation]:
     """
     pos = list(range(circuit.width))  # qubit -> position
     holder = list(range(circuit.width))  # position -> qubit
-    out = Circuit(circuit.width, circuit.registers)
+    kinds_in, ops_in = circuit.as_arrays()
+    kinds: list[int] = []
+    ops: list[int] = []
+    emit_kind, emit_ops = kinds.append, ops.extend
 
     def swap_positions(p: int) -> None:
         """SWAP line positions p and p+1, updating the layout."""
-        out.swap(p, p + 1)
+        emit_kind(_SWAP)
+        emit_ops((p, p + 1, -1))
         qa, qb = holder[p], holder[p + 1]
         holder[p], holder[p + 1] = qb, qa
         pos[qa], pos[qb] = p + 1, p
@@ -200,15 +212,25 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, LayoutPermutation]:
             swap_positions(p - 1)
             p -= 1
 
-    for g in circuit.gates:
-        arity = GATE_ARITY[g.kind]
-        if arity == 2:
-            p, q = sorted(pos[o] for o in g.operands)
-            march_right(p, q)
-        elif arity == 3:
-            lo, mid, hi = sorted(pos[o] for o in g.operands)
+    # an unused operand slot holds -1
+    for kind, a, b, c in zip(kinds_in.tolist(), *ops_in.T.tolist()):
+        if c >= 0:
+            lo, mid, hi = sorted((pos[a], pos[b], pos[c]))
             march_right(lo, mid)
             march_left(hi, mid)
-        out.append(Gate(g.kind, tuple(pos[o] for o in g.operands)))
+            emit_ops((pos[a], pos[b], pos[c]))
+        elif b >= 0:
+            p, q = sorted((pos[a], pos[b]))
+            march_right(p, q)
+            emit_ops((pos[a], pos[b], -1))
+        else:
+            emit_ops((pos[a], -1, -1))
+        emit_kind(kind)
 
-    return out, LayoutPermutation(tuple(pos))
+    routed = Circuit.from_arrays(
+        circuit.width,
+        circuit.registers,
+        np.array(kinds, dtype=np.uint8),
+        np.array(ops, dtype=np.int32).reshape(-1, 3),
+    )
+    return routed, LayoutPermutation(tuple(pos))

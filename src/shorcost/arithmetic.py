@@ -70,18 +70,11 @@ class _Layout:
         return Circuit(self._next, self._regs)
 
 
-def _append_inverse_slice(c: Circuit, start: int, end: int) -> None:
-    """Append the inverse of gates[start:end], uncomputing that slice."""
-    c.gates.extend(g.inverse() for g in reversed(c.gates[start:end]))
-
-
 def _emit_inverted(c: Circuit, emit: Callable[[], None]) -> None:
     """Emit ``emit()`` run backwards (used for subtraction)."""
-    start = len(c.gates)
+    start = len(c)
     emit()
-    tail = c.gates[start:]
-    del c.gates[start:]
-    c.gates.extend(g.inverse() for g in reversed(tail))
+    c.invert_span(start, replace=True)
 
 
 # ----------------------------------------------------------------------
@@ -194,10 +187,10 @@ class _CondSum:
         # per position: ("const", 0|1) or ("wire", qubit)
         self._carry_in: list[tuple[str, int]] = [("const", 0)] * self.m
 
-        sweep_start = len(c.gates)
+        sweep_start = len(c)
         root = self._up(0, self.m)
         self._down(0, self.m, cin)
-        sweep_end = len(c.gates)
+        sweep_end = len(c)
 
         for i in range(self.m):
             c.cx(self.prop[i], self.sum[i])
@@ -210,7 +203,7 @@ class _CondSum:
         if write_carry:
             c.cx(self.gen[cin][root], self.cout)
 
-        _append_inverse_slice(c, sweep_start, sweep_end)
+        c.invert_span(sweep_start, sweep_end)
 
     def _node(self, lo: int, hi: int) -> int:
         nid = self._next_node
@@ -738,7 +731,7 @@ def _modexp_parallel(spec: ModexpSpec) -> Circuit:
     r = lay.block("r", n)
     circ = lay.circuit()
 
-    forward_start = len(circ.gates)
+    forward_start = len(circ)
     for grp in groups:
         _emit_pipeline(circ, spec, grp)
     level = [grp.result_block for grp in groups]
@@ -753,11 +746,11 @@ def _modexp_parallel(spec: ModexpSpec) -> Circuit:
         if len(level) % 2:
             merged.append(level[-1])
         level = merged
-    forward_end = len(circ.gates)
+    forward_end = len(circ)
 
     for j in range(n):
         circ.cx(level[0][j], r[j])
-    _append_inverse_slice(circ, forward_start, forward_end)
+    circ.invert_span(forward_start, forward_end)
     return circ
 
 

@@ -6,20 +6,33 @@ the classical reversible trio NOT / CNOT / TOFFOLI plus SWAP, and the two
 non-classical helpers CV / CVDAG (controlled square root of NOT and its
 adjoint) that appear only after Toffoli decomposition.
 
-Gate order in ``gates`` is execution order.  There is no DAG here; data
-dependencies are recovered by the scheduler from operand overlap.
+Gates are stored as two flat arrays: one ``uint8`` kind code per gate
+(``KIND_CODE``) and an ``int32`` operand table with three slots per gate,
+-1 marking an unused slot.  Every gate is validated once, where it enters:
+the emitters (``append``, ``x``, ``cx``, ...) check each gate with plain
+int comparisons, and ``from_dict`` and ``from_arrays``, which the lowering
+passes build their output with, check a whole array at a time.
+``Circuit.gates`` is a read-only tuple of ``Gate`` values, built on access.
+
+Gate order is execution order.  There is no DAG here; data dependencies
+are recovered by the scheduler from operand overlap.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "GateKind",
     "GATE_ARITY",
+    "KIND_CODE",
     "Gate",
     "Register",
     "Circuit",
@@ -59,6 +72,23 @@ _INVERSE_KIND: dict[GateKind, GateKind] = {
     GateKind.CVDAG: GateKind.CV,
 }
 
+_KINDS: tuple[GateKind, ...] = tuple(GateKind)
+KIND_CODE: dict[GateKind, int] = {kind: code for code, kind in enumerate(_KINDS)}
+"""Array code of each gate kind; ``Circuit.as_arrays`` holds these."""
+
+_NOT, _CNOT, _TOFFOLI, _SWAP, _CV, _CVDAG = range(len(_KINDS))
+_CODE_BY_NAME = {kind.value: code for kind, code in KIND_CODE.items()}
+_UNKNOWN = 255  # code of a kind name ``from_dict`` does not know
+_ARITIES = tuple(GATE_ARITY[kind] for kind in _KINDS)
+_ARITY = np.array(_ARITIES, dtype=np.int8)
+_INVERSE_CODES = bytes(KIND_CODE[_INVERSE_KIND[kind]] for kind in _KINDS).ljust(256, b"\0")
+
+_MAX_WIDTH = 1 << 31  # int32 operands index at most 2^31 wires
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True, slots=True)
 class Gate:
@@ -74,11 +104,15 @@ class Gate:
     def __post_init__(self) -> None:
         ops = tuple(self.operands)
         object.__setattr__(self, "operands", ops)
+        if not isinstance(self.kind, GateKind):
+            raise CircuitError(f"unknown gate kind {self.kind!r}")
         want = GATE_ARITY[self.kind]
         if len(ops) != want:
             raise CircuitError(
                 f"{self.kind.value} takes {want} operands, got {len(ops)}"
             )
+        if not all(map(_is_int, ops)):
+            raise CircuitError(f"{self.kind.value} operands must be integers: {ops}")
         if len(set(ops)) != len(ops):
             raise CircuitError(f"{self.kind.value} operands must be distinct: {ops}")
         if any(q < 0 for q in ops):
@@ -86,6 +120,38 @@ class Gate:
 
     def inverse(self) -> "Gate":
         return Gate(_INVERSE_KIND[self.kind], self.operands)
+
+
+def _trusted_gate(kind: GateKind, ops: tuple[int, ...]) -> Gate:
+    """A ``Gate`` from operands already validated inside a circuit."""
+    gate = object.__new__(Gate)
+    object.__setattr__(gate, "kind", kind)
+    object.__setattr__(gate, "operands", ops)
+    return gate
+
+
+def _gate_error(code: int, ops: tuple, width: int) -> CircuitError:
+    """The error for one rejected gate: ``Gate``'s own check, then range."""
+    try:
+        gate = Gate(_KINDS[code], ops)
+    except CircuitError as exc:
+        return exc
+    return CircuitError(
+        f"gate {gate.kind.value}{gate.operands} out of range for width {width}"
+    )
+
+
+def _first_invalid(kinds: np.ndarray, ops: np.ndarray, width: int) -> int | None:
+    """Index of the first gate whose used slots are not distinct wires in
+    ``[0, width)`` or whose unused slots are not -1; None if all are valid.
+    ``kinds`` must hold known codes."""
+    arity = _ARITY[kinds]
+    used = np.arange(3) < arity[:, None]
+    bad = np.where(used, (ops < 0) | (ops >= width), ops != -1).any(axis=1)
+    a, b, c = ops.T
+    bad |= (a == b) & (arity >= 2)
+    bad |= ((a == c) | (b == c)) & (arity == 3)
+    return int(bad.argmax()) if bad.any() else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,8 +163,13 @@ class Register:
     length: int
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise CircuitError("register name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise CircuitError(f"register name must be a non-empty string, got {self.name!r}")
+        if not (_is_int(self.offset) and _is_int(self.length)):
+            raise CircuitError(
+                f"register {self.name} offset and length must be integers: "
+                f"offset={self.offset!r} length={self.length!r}"
+            )
         if self.offset < 0 or self.length < 1:
             raise CircuitError(
                 f"bad register geometry {self.name}: offset={self.offset} length={self.length}"
@@ -110,9 +181,10 @@ class Register:
 
 
 class Circuit:
-    """Ordered gate list over ``width`` wires with named registers.
+    """Ordered gates over ``width`` wires with named registers.
 
-    Builders append while constructing; consumers treat instances as
+    Builders mutate a circuit only through ``append``, ``extend``, the
+    single-gate emitters and ``invert_span``; consumers treat instances as
     immutable once handed over.
     """
 
@@ -121,8 +193,10 @@ class Circuit:
         width: int,
         registers: Iterable[Register | tuple[str, int, int]] = (),
     ) -> None:
-        if width < 1:
-            raise CircuitError(f"width must be positive, got {width}")
+        if not _is_int(width):
+            raise CircuitError(f"width must be an integer, got {width!r}")
+        if not 1 <= width < _MAX_WIDTH:
+            raise CircuitError(f"width must be in [1, 2^31), got {width}")
         self.width = width
         regs: list[Register] = []
         for r in registers:
@@ -131,54 +205,145 @@ class Circuit:
             regs.append(r)
         self.registers: tuple[Register, ...] = tuple(regs)
         self._check_registers()
-        self.gates: list[Gate] = []
+        self._kinds = array("B")
+        self._ops = array("i")
+        self._view: tuple[Gate, ...] | None = ()
 
     def _check_registers(self) -> None:
         seen: set[str] = set()
-        used: set[int] = set()
         for r in self.registers:
             if r.name in seen:
                 raise CircuitError(f"duplicate register name {r.name!r}")
             seen.add(r.name)
-            span = set(r.qubits)
             if r.offset + r.length > self.width:
                 raise CircuitError(f"register {r.name!r} exceeds width {self.width}")
-            if span & used:
-                raise CircuitError(f"register {r.name!r} overlaps another register")
-            used |= span
+        spans = sorted((r.offset, r.offset + r.length, r.name) for r in self.registers)
+        for (_, end, _), (start, _, name) in zip(spans, spans[1:]):
+            if start < end:
+                raise CircuitError(f"register {name!r} overlaps another register")
+
+    @classmethod
+    def from_arrays(
+        cls,
+        width: int,
+        registers: Iterable[Register | tuple[str, int, int]],
+        kinds: np.ndarray,
+        operands: np.ndarray,
+    ) -> "Circuit":
+        """A circuit holding gates given as arrays, in the layout
+        ``as_arrays`` returns: kind codes of shape (n,) and integer operands
+        of shape (n, 3).  Every gate is checked, as one batch, before the
+        operands are narrowed to int32."""
+        c = cls(width, registers)
+        kinds, ops = np.asarray(kinds), np.asarray(operands)
+        if not (
+            kinds.ndim == 1
+            and ops.shape == (len(kinds), 3)
+            and np.issubdtype(kinds.dtype, np.integer)
+            and np.issubdtype(ops.dtype, np.integer)
+        ):
+            raise CircuitError(
+                f"gate arrays must be integer, of shapes (n,) and (n, 3); got "
+                f"{kinds.dtype}{kinds.shape} and {ops.dtype}{ops.shape}"
+            )
+        unknown = np.flatnonzero((kinds < 0) | (kinds >= len(_KINDS)))
+        if unknown.size:
+            i = int(unknown[0])
+            raise CircuitError(f"gates[{i}]: unknown gate kind code {int(kinds[i])}")
+        bad = _first_invalid(kinds, ops, width)
+        if bad is not None:
+            code = int(kinds[bad])
+            used = tuple(int(q) for q in ops[bad, : _ARITIES[code]])
+            raise CircuitError(f"gates[{bad}]: {_gate_error(code, used, width)}")
+        c._extend_raw(kinds.astype(np.uint8).tobytes(), ops.astype(np.int32).tobytes())
+        return c
 
     # -- construction ------------------------------------------------
 
+    def _extend_raw(self, kinds: bytes, ops: bytes) -> None:
+        """Append gates given as raw kind codes and operand slots that are
+        already known to be valid."""
+        self._kinds.frombytes(kinds)
+        self._ops.frombytes(ops)
+        self._view = None
+
+    def _put(self, code: int, slots: list) -> None:
+        try:
+            self._ops.fromlist(slots)  # all three slots or none
+        except TypeError:  # not an integer; the range check passed
+            raise _gate_error(code, tuple(slots[: _ARITIES[code]]), self.width) from None
+        self._kinds.append(code)
+        self._view = None
+
+    def _one(self, code: int, a: int) -> "Circuit":
+        if not 0 <= a < self.width:
+            raise _gate_error(code, (a,), self.width)
+        self._put(code, [a, -1, -1])
+        return self
+
+    def _two(self, code: int, a: int, b: int) -> "Circuit":
+        w = self.width
+        if not (0 <= a < w and 0 <= b < w and a != b):
+            raise _gate_error(code, (a, b), w)
+        self._put(code, [a, b, -1])
+        return self
+
+    def _three(self, code: int, a: int, b: int, c: int) -> "Circuit":
+        w = self.width
+        if not (0 <= a < w and 0 <= b < w and 0 <= c < w and a != b and a != c and b != c):
+            raise _gate_error(code, (a, b, c), w)
+        self._put(code, [a, b, c])
+        return self
+
     def append(self, gate: Gate) -> "Circuit":
-        if max(gate.operands) >= self.width:
-            raise CircuitError(
-                f"gate {gate.kind.value}{gate.operands} out of range for width {self.width}"
-            )
-        self.gates.append(gate)
+        emit = (self._one, self._two, self._three)[len(gate.operands) - 1]
+        return emit(KIND_CODE[gate.kind], *gate.operands)
+
+    def extend(self, gates: Iterable[Gate]) -> "Circuit":
+        for gate in gates:
+            self.append(gate)
         return self
 
     def x(self, t: int) -> "Circuit":
-        return self.append(Gate(GateKind.NOT, (t,)))
+        return self._one(_NOT, t)
 
     def cx(self, c: int, t: int) -> "Circuit":
-        return self.append(Gate(GateKind.CNOT, (c, t)))
+        return self._two(_CNOT, c, t)
 
     def ccx(self, c1: int, c2: int, t: int) -> "Circuit":
-        return self.append(Gate(GateKind.TOFFOLI, (c1, c2, t)))
+        return self._three(_TOFFOLI, c1, c2, t)
 
     def swap(self, a: int, b: int) -> "Circuit":
-        return self.append(Gate(GateKind.SWAP, (a, b)))
+        return self._two(_SWAP, a, b)
 
     def cv(self, c: int, t: int) -> "Circuit":
-        return self.append(Gate(GateKind.CV, (c, t)))
+        return self._two(_CV, c, t)
 
     def cvdag(self, c: int, t: int) -> "Circuit":
-        return self.append(Gate(GateKind.CVDAG, (c, t)))
+        return self._two(_CVDAG, c, t)
+
+    def invert_span(self, start: int, stop: int | None = None, *, replace: bool = False) -> "Circuit":
+        """Append the inverse of ``gates[start:stop]``, which uncomputes
+        that span; with ``replace``, put the inverse in the span's place.
+
+        The inverse of a valid gate acts on the same wires, so nothing is
+        checked again.
+        """
+        start, stop, _ = slice(start, stop).indices(len(self))
+        stop = max(start, stop)
+        kinds, ops = _inverted(self._kinds[start:stop], self._ops[3 * start : 3 * stop])
+        if replace:
+            self._kinds[start:stop] = array("B", kinds)
+            self._ops[3 * start : 3 * stop] = array("i", ops)
+            self._view = None
+        else:
+            self._extend_raw(kinds, ops)
+        return self
 
     # -- queries -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self._kinds)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
@@ -186,11 +351,38 @@ class Circuit:
         return (
             self.width == other.width
             and self.registers == other.registers
-            and self.gates == other.gates
+            and self._kinds == other._kinds
+            and self._ops == other._ops
         )
 
     def __repr__(self) -> str:
-        return f"Circuit(width={self.width}, gates={len(self.gates)})"
+        return f"Circuit(width={self.width}, gates={len(self)})"
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates in execution order, as a read-only snapshot."""
+        if self._view is None:
+            # Gates are values, so equal gates share one object: a circuit
+            # repeats a small vocabulary of gates many times over.
+            made: dict[tuple[int, int, int, int], Gate] = {}
+            view = []
+            it = iter(self._ops)
+            for key in zip(self._kinds, it, it, it):
+                gate = made.get(key)
+                if gate is None:
+                    k, a, b, c = key
+                    gate = made[key] = _trusted_gate(_KINDS[k], (a, b, c)[: _ARITIES[k]])
+                view.append(gate)
+            self._view = tuple(view)
+        return self._view
+
+    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the gate arrays: ``uint8`` kind codes (see ``KIND_CODE``)
+        of shape (n,), and ``int32`` operands of shape (n, 3), with -1 in
+        the slots past each gate's arity."""
+        kinds = np.frombuffer(self._kinds, dtype=np.uint8).copy()
+        ops = np.frombuffer(self._ops, dtype=np.int32).reshape(-1, 3).copy()
+        return kinds, ops
 
     def register(self, name: str) -> Register:
         for r in self.registers:
@@ -200,26 +392,29 @@ class Circuit:
 
     def census(self) -> dict[GateKind, int]:
         """Gate counts by kind; every kind is present, zero included."""
-        counts = {kind: 0 for kind in GateKind}
-        for g in self.gates:
-            counts[g.kind] += 1
-        return counts
+        counts = np.bincount(np.frombuffer(self._kinds, dtype=np.uint8), minlength=len(_KINDS))
+        return {kind: int(n) for kind, n in zip(_KINDS, counts)}
 
     def inverse(self) -> "Circuit":
         """Reversed gate order with each gate replaced by its inverse."""
         inv = Circuit(self.width, self.registers)
-        inv.gates = [g.inverse() for g in reversed(self.gates)]
+        inv._extend_raw(*_inverted(self._kinds, self._ops))
         return inv
 
     # -- serialization -----------------------------------------------
 
-    def to_dict(self) -> dict:
+    def _header(self) -> dict:
         return {
             "width": self.width,
             "registers": [
                 {"name": r.name, "offset": r.offset, "length": r.length}
                 for r in self.registers
             ],
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            **self._header(),
             "gates": [
                 {"kind": g.kind.value, "operands": list(g.operands)}
                 for g in self.gates
@@ -228,24 +423,88 @@ class Circuit:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Circuit":
+        """Rebuild a circuit from ``to_dict`` output.  Every field is checked:
+        integer width and register geometry, known kinds, integer operands
+        (booleans and floats are rejected), arity, distinct operands and
+        range; any failure raises ``CircuitError``."""
         try:
-            width = data["width"]
             regs = [
                 Register(r["name"], r["offset"], r["length"])
                 for r in data["registers"]
             ]
-            c = cls(width, regs)
-            for g in data["gates"]:
-                c.append(Gate(GateKind(g["kind"]), tuple(g["operands"])))
+            c = cls(data["width"], regs)
+            gates = data["gates"]
+            if not isinstance(gates, list):
+                raise CircuitError(f"gates must be a list, got {type(gates).__name__}")
+            names = [g["kind"] for g in gates]
+            kinds = np.array([_CODE_BY_NAME.get(k, _UNKNOWN) for k in names], dtype=np.uint8)
+            operands = [g["operands"] for g in gates]
+            counts = np.fromiter(map(len, operands), dtype=np.int64, count=len(operands))
+            flat = list(chain.from_iterable(operands))
         except CircuitError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise CircuitError(f"malformed circuit document: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise CircuitError(f"malformed circuit document: {exc}") from exc
-        return c
+
+        def reject(i: int) -> CircuitError:
+            ops = tuple(operands[i])
+            return CircuitError(f"gates[{i}]: {_gate_error(int(kinds[i]), ops, c.width)}")
+
+        unknown = np.flatnonzero(kinds == _UNKNOWN)
+        if unknown.size:
+            i = int(unknown[0])
+            raise CircuitError(f"gates[{i}]: unknown gate kind {names[i]!r}")
+        wrong = np.flatnonzero(counts != _ARITY[kinds])
+        if wrong.size:
+            raise reject(int(wrong[0]))
+        if not set(map(type, flat)) <= {int}:  # bool and float are rejected too
+            j = next(j for j, q in enumerate(flat) if type(q) is not int)
+            raise reject(int(np.searchsorted(np.cumsum(counts), j, side="right")))
+        try:
+            values = np.array(flat, dtype=np.int64)
+        except OverflowError as exc:
+            raise CircuitError(f"malformed circuit document: {exc}") from exc
+        ops = np.full((len(counts), 3), -1, dtype=np.int64)
+        ops[np.arange(3) < counts[:, None]] = values
+        return cls.from_arrays(c.width, c.registers, kinds, ops)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """JSON text: the ``to_dict`` document, indented by 2, newline-ended."""
+        head = json.dumps({**self._header(), "gates": []}, indent=2)
+        if not len(self):
+            return head + "\n"
+        it = iter(self._ops)
+        body = ",\n".join(
+            [_GATE_TEXT[k] % (a, b, c)[: _ARITIES[k]] for k, a, b, c in zip(self._kinds, it, it, it)]
+        )
+        return head[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
 
     @classmethod
     def loads(cls, text: str) -> "Circuit":
         return cls.from_dict(json.loads(text))
+
+
+def _inverted(kinds: array, ops: array) -> tuple[bytes, bytes]:
+    """Kind codes and operand slots of a gate span run backwards, each gate
+    replaced by its inverse (CV and CVDAG trade places)."""
+    reversed_ops = np.frombuffer(ops, dtype=np.int32).reshape(-1, 3)[::-1]
+    return bytes(kinds)[::-1].translate(_INVERSE_CODES), reversed_ops.tobytes()
+
+
+def _gate_text(kind: GateKind) -> str:
+    """``dumps`` template of one gate: what ``json.dumps(indent=2)`` writes
+    for it at depth 2, with a ``%d`` per operand."""
+    ops = ",\n".join(["        %d"] * GATE_ARITY[kind])
+    return (
+        "    {\n"
+        f'      "kind": "{kind.value}",\n'
+        '      "operands": [\n'
+        f"{ops}\n"
+        "      ]\n"
+        "    }"
+    )
+
+
+_GATE_TEXT = tuple(_gate_text(kind) for kind in _KINDS)

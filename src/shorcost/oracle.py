@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, Gate, GateKind, Register
+from .circuit import KIND_CODE, Circuit, CircuitError, GateKind, Register
 
 __all__ = [
     "BasisState",
@@ -48,6 +48,12 @@ __all__ = [
 
 class NonClassicalGateError(CircuitError):
     """Raised when simulation meets a gate with no basis-state action."""
+
+
+_KIND_OF_CODE = {code: kind for kind, code in KIND_CODE.items()}
+_NOT, _CNOT, _TOFFOLI, _SWAP = (
+    KIND_CODE[k] for k in (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP)
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,27 +96,38 @@ class BasisState:
         return BasisState(self.width, (self.mask & ~lo) | (value << reg.offset))
 
 
+_Program = tuple[list[int], list[int], list[int], list[int]]
+"""Columns of plain ints: each gate's kind code and its three operand
+slots, an unused slot holding -1."""
+
+
+def _program(circuit: Circuit) -> _Program:
+    kinds, ops = circuit.as_arrays()
+    return kinds.tolist(), *ops.T.tolist()
+
+
+def _non_classical(code: int) -> NonClassicalGateError:
+    return NonClassicalGateError(
+        f"non-classical gate {_KIND_OF_CODE[code].value} has no basis-state semantics"
+    )
+
+
 def simulate_mask(circuit: Circuit, mask: int) -> int:
     """Advance one packed basis state through the circuit."""
-    for g in circuit.gates:
-        kind = g.kind
-        ops = g.operands
-        if kind is GateKind.NOT:
-            mask ^= 1 << ops[0]
-        elif kind is GateKind.CNOT:
-            if mask >> ops[0] & 1:
-                mask ^= 1 << ops[1]
-        elif kind is GateKind.TOFFOLI:
-            if mask >> ops[0] & 1 and mask >> ops[1] & 1:
-                mask ^= 1 << ops[2]
-        elif kind is GateKind.SWAP:
-            i, j = ops
-            if (mask >> i & 1) != (mask >> j & 1):
-                mask ^= (1 << i) | (1 << j)
+    for kind, a, b, c in zip(*_program(circuit)):
+        if kind == _NOT:
+            mask ^= 1 << a
+        elif kind == _CNOT:
+            if mask >> a & 1:
+                mask ^= 1 << b
+        elif kind == _TOFFOLI:
+            if mask >> a & 1 and mask >> b & 1:
+                mask ^= 1 << c
+        elif kind == _SWAP:
+            if (mask >> a & 1) != (mask >> b & 1):
+                mask ^= (1 << a) | (1 << b)
         else:
-            raise NonClassicalGateError(
-                f"non-classical gate {kind.value} has no basis-state semantics"
-            )
+            raise _non_classical(kind)
     return mask
 
 
@@ -131,31 +148,19 @@ _CHUNK = 1 << 16
 _LIMB = 64
 _LIMB_MASK = (1 << _LIMB) - 1
 
-_NOT, _CNOT, _TOFFOLI, _SWAP = (
-    GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP
-)
-
-
-def _run(gates: Sequence[Gate], rows: list[int], ones: int) -> None:
+def _run(program: _Program, rows: list[int], ones: int) -> None:
     """Apply the gates to every state of a chunk at once, in place."""
-    for g in gates:
-        kind = g.kind
-        ops = g.operands
-        if kind is _TOFFOLI:
-            a, b, t = ops
-            rows[t] ^= rows[a] & rows[b]
-        elif kind is _CNOT:
-            a, t = ops
-            rows[t] ^= rows[a]
-        elif kind is _NOT:
-            rows[ops[0]] ^= ones
-        elif kind is _SWAP:
-            a, b = ops
+    for kind, a, b, c in zip(*program):
+        if kind == _TOFFOLI:
+            rows[c] ^= rows[a] & rows[b]
+        elif kind == _CNOT:
+            rows[b] ^= rows[a]
+        elif kind == _NOT:
+            rows[a] ^= ones
+        elif kind == _SWAP:
             rows[a], rows[b] = rows[b], rows[a]
         else:
-            raise NonClassicalGateError(
-                f"non-classical gate {kind.value} has no basis-state semantics"
-            )
+            raise _non_classical(kind)
 
 
 def _flag_row(flags: Sequence[bool]) -> int:
@@ -328,6 +333,7 @@ def _check(
     """First counterexample over the chunks, in their order, or None."""
     regs = circuit.registers
     names = [r.name for r in regs]
+    program = _program(circuit)
     for k, cols in chunks:
         ones = (1 << k) - 1
         before = [0] * circuit.width
@@ -335,7 +341,7 @@ def _check(
             if r.name in cols:
                 before[r.offset : r.offset + r.length] = _to_rows(cols[r.name], r.length)
         rows = before.copy()
-        _run(circuit.gates, rows, ones)
+        _run(program, rows, ones)
 
         zeros = [0] * k
         columns = [cols.get(name, zeros) for name in names]

@@ -69,27 +69,46 @@ class ClassicalModel:
     anchor_seconds: float = MONTH_SECONDS
 
     def __post_init__(self) -> None:
-        if self.compute_factor <= 0:
-            raise ValueError(f"compute_factor must be positive, got {self.compute_factor}")
+        _check_positive("compute_factor", self.compute_factor)
+        _check_positive("anchor_seconds", self.anchor_seconds)
+
+
+def _check_positive(what: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be a positive finite number, got {value}")
+
+
+def _finite_result(what: str, value: float) -> float:
+    """Reject an inf or nan computed from finite inputs: a float overflow."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows a float ({value}); the inputs are out of range")
+    return value
 
 
 def _nfs_exponent(n: int) -> float:
     return (_NFS_K * n * math.log(n) ** 2) ** (1.0 / 3.0)
 
 
-def nfs_seconds(model: ClassicalModel, n: int) -> float:
-    """Extrapolated sieve time in seconds for an n-bit number.
-
-    Saturates to infinity once the exponential leaves float range (which
-    happens near n = 10^6; crossover scans probe that far).
-    """
-    if n < 2:
-        raise ValueError(f"bit size must be at least 2, got {n}")
+def _sieve_seconds(model: ClassicalModel, n: int) -> float:
+    """``nfs_seconds`` without its checks.  Saturates to infinity once the
+    exponential leaves float range (near n = 10^6), which is what the
+    crossover scan, probing that far, compares against."""
     try:
         scale = math.exp(_nfs_exponent(n) - _nfs_exponent(model.anchor_bits))
     except OverflowError:
         return math.inf
     return model.anchor_seconds * scale / model.compute_factor
+
+
+def nfs_seconds(model: ClassicalModel, n: int) -> float:
+    """Extrapolated sieve time in seconds for an n-bit number.
+
+    Raises ``ValueError`` when the time does not fit a float (near
+    n = 10^6 for the default anchor).
+    """
+    if n < 2:
+        raise ValueError(f"bit size must be at least 2, got {n}")
+    return _finite_result(f"sieve time for n={n}", _sieve_seconds(model, n))
 
 
 @dataclass(frozen=True)
@@ -132,21 +151,27 @@ MODELS: dict[str, QuantumModel] = {"bcdp": BCDP, "d": ALG_D, "f": ALG_F}
 
 
 def quantum_seconds(model: QuantumModel, n: int, clock_hz: float) -> float:
-    """Wall seconds to run the model's circuit at the given gate rate."""
+    """Wall seconds to run the model's circuit at the given gate rate.
+
+    Raises ``ValueError`` on a non-finite clock and when the time does not
+    fit a float.
+    """
     if n < 2:
         raise ValueError(f"bit size must be at least 2, got {n}")
-    if clock_hz <= 0:
-        raise ValueError(f"clock must be positive, got {clock_hz}")
-    return model.depth(n) / clock_hz
+    _check_positive("clock", clock_hz)
+    return _finite_result(
+        f"{model.name} time at n={n}, {clock_hz} Hz", model.depth(n) / clock_hz
+    )
 
 
 def required_clock(model: QuantumModel, n: int, wall_seconds: float) -> float:
     """Gate rate needed to finish within the wall time; inverse of quantum_seconds."""
     if n < 2:
         raise ValueError(f"bit size must be at least 2, got {n}")
-    if wall_seconds <= 0:
-        raise ValueError(f"wall time must be positive, got {wall_seconds}")
-    return model.depth(n) / wall_seconds
+    _check_positive("wall time", wall_seconds)
+    return _finite_result(
+        f"{model.name} clock for n={n} in {wall_seconds} s", model.depth(n) / wall_seconds
+    )
 
 
 def speedup(q1: QuantumModel, q2: QuantumModel, n: int) -> float:
@@ -169,12 +194,13 @@ def crossover_bits(
     the whole range (for instance at absurdly slow clocks).  Doubling scan
     to bracket the crossing, then bisection for the first integer.
     """
-    if clock_hz <= 0:
-        raise ValueError(f"clock must be positive, got {clock_hz}")
+    _check_positive("clock", clock_hz)
     classical = classical or ClassicalModel()
 
+    # Both sides may overflow to infinity this far out; the comparison
+    # still orders them, so the scan uses the unchecked forms.
     def wins(n: int) -> bool:
-        return quantum_seconds(model, n, clock_hz) < nfs_seconds(classical, n)
+        return model.depth(n) / clock_hz < _sieve_seconds(classical, n)
 
     if wins(_CROSSOVER_LO):
         return _CROSSOVER_LO

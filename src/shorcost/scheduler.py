@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import Circuit
 
 __all__ = ["Schedule", "Metrics", "asap_schedule", "metrics"]
@@ -35,34 +37,47 @@ class Metrics:
     mean_concurrency: float
 
 
-def asap_schedule(circuit: Circuit) -> Schedule:
-    """Greedy as-soon-as-possible placement.
+def _asap_steps(circuit: Circuit) -> list[int]:
+    """Timestep of each gate under greedy as-soon-as-possible placement.
 
     ``ready[q]`` is the first step at which wire q is free; a gate lands at
     the max over its operands and pushes all of them one step past itself.
     """
     ready = [0] * circuit.width
-    steps: list[list[int]] = []
-    for idx, g in enumerate(circuit.gates):
-        t = 0
-        for q in g.operands:
-            if ready[q] > t:
-                t = ready[q]
-        if t == len(steps):
-            steps.append([])
-        steps[t].append(idx)
-        nxt = t + 1
-        for q in g.operands:
-            ready[q] = nxt
-    return Schedule(tuple(tuple(s) for s in steps))
+    steps: list[int] = []
+    place = steps.append
+    _, ops = circuit.as_arrays()
+    # an unused operand slot holds -1
+    for a, b, c in zip(*ops.T.tolist()):
+        t = ready[a]
+        if b >= 0:
+            if ready[b] > t:
+                t = ready[b]
+            if c >= 0:
+                if ready[c] > t:
+                    t = ready[c]
+                ready[c] = t + 1
+            ready[b] = t + 1
+        ready[a] = t + 1
+        place(t)
+    return steps
+
+
+def asap_schedule(circuit: Circuit) -> Schedule:
+    """Greedy as-soon-as-possible placement; ties follow circuit order."""
+    steps = _asap_steps(circuit)
+    timesteps: list[list[int]] = [[] for _ in range(max(steps, default=-1) + 1)]
+    for idx, t in enumerate(steps):
+        timesteps[t].append(idx)
+    return Schedule(tuple(map(tuple, timesteps)))
 
 
 def metrics(circuit: Circuit) -> Metrics:
     """Depth/width/concurrency summary of a circuit under ASAP scheduling."""
-    sched = asap_schedule(circuit)
-    total = len(circuit.gates)
-    depth = sched.depth
-    max_conc = max((len(s) for s in sched.timesteps), default=0)
+    per_step = np.bincount(np.array(_asap_steps(circuit), dtype=np.int64))
+    total = len(circuit)
+    depth = len(per_step)
+    max_conc = int(per_step.max(initial=0))
     mean = total / depth if depth else 0.0
     return Metrics(
         depth=depth,

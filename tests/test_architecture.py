@@ -74,7 +74,7 @@ def test_mutated_decomposition_fails_matrix_check():
     assert np.array_equal(_sequence_matrix(good, 3), target)
     dropped = good[:-1]
     assert not np.array_equal(_sequence_matrix(dropped, 3), target)
-    swapped = [good[1], good[0]] + good[2:]
+    swapped = (good[1], good[0]) + good[2:]
     assert not np.array_equal(_sequence_matrix(swapped, 3), target)
 
 

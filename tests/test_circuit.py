@@ -162,3 +162,120 @@ def test_inverse_reverses_and_preserves_counts(c):
     for kind in (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP):
         assert inv_census[kind] == census[kind]
     assert [g.operands for g in inv.gates] == [g.operands for g in reversed(c.gates)]
+
+
+# ---------------------------------------------------------------------------
+# validation where data enters
+
+
+def _doc(gates=(), width=4, registers=()):
+    return {"width": width, "registers": list(registers), "gates": list(gates)}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _doc([{"kind": "CNOT", "operands": [0.5, 1]}]),
+        _doc([{"kind": "CNOT", "operands": [1.0, 2]}]),
+        _doc([{"kind": "CNOT", "operands": [True, 2]}]),
+        _doc([{"kind": "NOT", "operands": [False]}]),
+        _doc([{"kind": "NOT", "operands": ["0"]}]),
+        _doc([{"kind": "NOT", "operands": [None]}]),
+        _doc(width=4.0),
+        _doc(width=True),
+        _doc(width="4"),
+        _doc(width=1 << 31),
+        _doc(registers=[{"name": "a", "offset": 0.0, "length": 1}]),
+        _doc(registers=[{"name": "a", "offset": 0, "length": 2.0}]),
+        _doc(registers=[{"name": "a", "offset": False, "length": 1}]),
+        _doc(registers=[{"name": 7, "offset": 0, "length": 1}]),
+        _doc([{"kind": "HADAMARD", "operands": [0]}]),
+        _doc([{"kind": "CNOT", "operands": [0, 1, 2]}]),
+        _doc([{"kind": "TOFFOLI", "operands": [0, 1]}]),
+        _doc([{"kind": "NOT", "operands": []}]),
+        _doc([{"kind": "NOT", "operands": 0}]),
+        _doc([{"kind": "CNOT", "operands": [2, 2]}]),
+        _doc([{"kind": "TOFFOLI", "operands": [0, 1, 0]}]),
+        _doc([{"kind": "NOT", "operands": [-1]}]),
+        _doc([{"kind": "CNOT", "operands": [0, 4]}]),
+        _doc([{"kind": "NOT", "operands": [1 << 40]}]),
+        _doc([{"kind": "NOT", "operands": [1 << 70]}]),
+        _doc([{"kind": "NOT", "operands": [0]}, {"kind": "NOT"}]),
+        {"width": 4, "registers": [], "gates": {"kind": "NOT"}},
+        [],
+    ],
+)
+def test_loads_rejects_malformed_documents(doc):
+    with pytest.raises(CircuitError):
+        Circuit.from_dict(doc)
+    with pytest.raises(CircuitError):
+        Circuit.loads(json.dumps(doc))
+
+
+def test_loads_names_the_offending_gate():
+    doc = _doc([{"kind": "NOT", "operands": [0]}, {"kind": "CNOT", "operands": [0, 0.5]}])
+    with pytest.raises(CircuitError, match=r"gates\[1\]: CNOT operands must be integers"):
+        Circuit.from_dict(doc)
+
+
+def test_loads_rejects_non_finite_json_numbers():
+    text = '{"width": 2, "registers": [], "gates": [{"kind": "NOT", "operands": [NaN]}]}'
+    with pytest.raises(CircuitError):
+        Circuit.loads(text)
+
+
+def test_emitters_reject_non_integer_operands_and_stay_unchanged():
+    c = Circuit(3).x(0)
+    for emit in (lambda: c.cx(0.5, 1), lambda: c.ccx(0, 1.0, 2), lambda: c.x(2.5)):
+        with pytest.raises(CircuitError):
+            emit()
+    assert c == Circuit(3).x(0)
+    with pytest.raises(CircuitError):
+        Gate(GateKind.CNOT, (0.5, 1))
+    with pytest.raises(CircuitError):
+        Gate(GateKind.NOT, (True,))
+
+
+def test_gates_is_a_read_only_snapshot():
+    c = Circuit(3).x(0).cx(0, 1)
+    snapshot = c.gates
+    assert isinstance(snapshot, tuple)
+    assert snapshot == (Gate(GateKind.NOT, (0,)), Gate(GateKind.CNOT, (0, 1)))
+    with pytest.raises(AttributeError):
+        c.gates = []
+    c.ccx(0, 1, 2)
+    assert len(snapshot) == 2 and len(c.gates) == 3
+
+
+def test_extend_and_invert_span():
+    c = Circuit(3).extend([Gate(GateKind.NOT, (0,)), Gate(GateKind.CV, (0, 1))])
+    c.invert_span(0)
+    assert [(g.kind, g.operands) for g in c.gates] == [
+        (GateKind.NOT, (0,)), (GateKind.CV, (0, 1)),
+        (GateKind.CVDAG, (0, 1)), (GateKind.NOT, (0,)),
+    ]
+    c.invert_span(0, 2, replace=True)
+    assert [g.kind for g in c.gates] == [
+        GateKind.CVDAG, GateKind.NOT, GateKind.CVDAG, GateKind.NOT
+    ]
+
+
+def test_from_arrays_checks_the_batch():
+    import numpy as np
+
+    c = Circuit(3, [("a", 0, 3)]).x(0).ccx(0, 1, 2).cv(2, 1)
+    kinds, ops = c.as_arrays()
+    assert Circuit.from_arrays(3, c.registers, kinds, ops) == c
+    bad_kind = kinds.copy()
+    bad_kind[1] = 6
+    bad_slot = ops.copy()
+    bad_slot[0, 1] = 2  # a NOT with a second operand
+    bad_range = ops.copy()
+    bad_range[2, 0] = 3
+    for k, o in [(bad_kind, ops), (kinds, bad_slot), (kinds, bad_range),
+                 (kinds, ops[:2]), (kinds, ops.astype(float))]:
+        with pytest.raises(CircuitError):
+            Circuit.from_arrays(3, (), k, o)
+    # the arrays handed out are copies
+    ops[:] = 0
+    assert c.gates[1].operands == (0, 1, 2)

@@ -211,3 +211,44 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3981.3 Hz\n"
+
+
+def test_scale_rejects_overflowing_times(capsys):
+    assert run(["scale", "--models", "bcdp", "--clocks", "1e-320",
+                "--compute-factors", "", "--points", "2",
+                "--from", "512", "--to", "1024"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflows" in captured.err
+
+
+def test_clock_for_rejects_overflowing_clock(capsys):
+    assert run(["clock-for", "--model", "bcdp", "--bits", "576",
+                "--wall", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflows" in captured.err
+
+
+@pytest.mark.parametrize(
+    "operands,width,message",
+    [
+        ([0.5, 1], 3, "integers"),
+        ([True, 1], 3, "integers"),
+        ([0, 3], 3, "out of range"),
+        ([1, 1], 3, "distinct"),
+        ([0, 1], 2.0, "width must be an integer"),
+        ([0, 1], 1 << 31, "2^31"),
+    ],
+)
+def test_verify_and_estimate_reject_bad_documents(tmp_path, capsys, operands, width, message):
+    """A document that does not describe a valid circuit exits 2 with a
+    message, before any simulation or scheduling."""
+    doc = {"width": width, "registers": [{"name": "a", "offset": 0, "length": 1}],
+           "gates": [{"kind": "CNOT", "operands": operands}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["verify", "--circuit", str(path), "--spec", "adder"],
+                 ["estimate", "--circuit", str(path), "--arch", "ac"],
+                 ["estimate", "--circuit", str(path), "--arch", "ntc"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err

@@ -1,0 +1,74 @@
+"""Golden bytes: the serialized form of a fixed set of built and routed
+circuits, pinned by sha256.
+
+The hashes were recorded from the list-of-``Gate`` representation that
+preceded the array-backed one, with ``dumps`` written by
+``json.dumps(to_dict(), indent=2)``.  They prove that the builders, the
+NTC lowering (decomposition, routing and its final layout) and the
+serializer still emit the same bytes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from shorcost import (
+    AdderKind,
+    ModexpSpec,
+    build_adder,
+    build_controlled_adder,
+    build_modexp,
+    decompose_toffoli,
+    route_linear,
+)
+
+GOLDEN = {
+    "adder-vbe-4": "aa5bd4ce86c15327620e7f16e9e0029c355750a4deda97ccf9a142fb94ce16dd",
+    "adder-vbe-4-ntc": "00e090ed40e4b86c87cbab4082b7b15907c274ea8da7b45932eb2d93759ca19d",
+    "adder-vbe-4-layout": "84aa190f191e84cd1836167b375389b0f836ad678c8fcb27913f3402f5a30f1b",
+    "ctrl-adder-vbe-4": "0c826c21313466a61bc5e5b941b2edd598030b0a9c640336c5b42853cd703036",
+    "ctrl-adder-vbe-4-ntc": "7fef8086bb2d2e5d4ea836e4823e1bc85281901ffa0c88e024d34021881acba2",
+    "ctrl-adder-vbe-4-layout": "bc41abd3531329bb2f0473a693662eafa4c711620b47cec259e346551bcc240f",
+    "adder-cdkm-4": "99aa87307accc7f115e41c1f9766bbe677bd5fae344cef4e4b2a25c899999770",
+    "adder-cdkm-4-ntc": "a4f6a1d35fedaee041c71b35a90717cfdba75364d13c100dcefe3ceb96da47cc",
+    "adder-cdkm-4-layout": "ac6fd65e09cf83d7b65a3876a7fb6851be8adbbb67ec21f43a907495a250ea6e",
+    "ctrl-adder-cdkm-4": "2c3bde1a2b37e73b04c45e1de8ca4dc03ee2e659437d43609279ca5634620072",
+    "ctrl-adder-cdkm-4-ntc": "f4773d866a5ce184925b054c93e08f247bc177e25cbeb8ba96950b4da7b7e8d1",
+    "ctrl-adder-cdkm-4-layout": "ccdbe965c2eb827ab1ec2cee6d7ae70c37c061902ea2b4af80ff233fc786e1ee",
+    "adder-condsum-4": "f3c9cb1d30dd8df5bff3ed85526761df6956a83eb3ed178b2da03c22a271073c",
+    "adder-condsum-4-ntc": "c94126265be9e6e6aca8b4f50737f7e4f8982e6e6f75d7db407766d549f7618f",
+    "adder-condsum-4-layout": "abbbb4ab42649dc041e3802b5cf562e9d55360f8f2788252ec83525d56615af2",
+    "ctrl-adder-condsum-4": "5b3e74a5c35de9c02aa05c92ad698b601330d0cc1fc7ae3e106fa67a11ac2313",
+    "ctrl-adder-condsum-4-ntc": "954917bda0b33a6699d0f7634dbe771dee55386c2ef6091fdecff80057574855",
+    "ctrl-adder-condsum-4-layout": "fff1538a2f915009407f62f1ec4904f0bd7e36ef1c9eb92d7530ae258f7f90fd",
+    "modexp-4-13-2-s1": "630ca4f9a06555df3b0e8172118593d01bb885f31357adff846a213d5a87ad9a",
+    "modexp-4-13-2-s1-ntc": "da5d25b1dfcaaa9d7f9d13d619a291ff910b4d841a72daef94dc827bc4c66ade",
+    "modexp-4-13-2-s1-layout": "59bede715dadc5ae6920cf879b8bfba046e8cdec5cd9a8e5ca43753b2530072c",
+    "modexp-4-13-2-s2": "5cfdcc3530a8389ff21daaf464cbc89dc7dcec5be63bdbfdf2db949a96660996",
+    "modexp-4-13-2-s2-ntc": "2a4164df5e18c074510ca7bc26bbf51c82d5b84fb3dfb8af30e5ad023c10c59d",
+    "modexp-4-13-2-s2-layout": "aa8c5e68ff8e1912885f01b5b8b753e3cf0d9e20a9bc6c837a3bc8327a3f5513",
+}
+
+BUILDS = {
+    **{f"adder-{k.value}-4": (build_adder, k, 4) for k in AdderKind},
+    **{f"ctrl-adder-{k.value}-4": (build_controlled_adder, k, 4) for k in AdderKind},
+    **{
+        f"modexp-4-13-2-s{s}": (build_modexp, ModexpSpec(n=4, modulus=13, base=2, s=s))
+        for s in (1, 2)
+    },
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_built_and_routed_bytes_are_pinned(name):
+    build, *args = BUILDS[name]
+    circuit = build(*args)
+    routed, layout = route_linear(decompose_toffoli(circuit))
+    assert _sha256(circuit.dumps()) == GOLDEN[name]
+    assert _sha256(routed.dumps()) == GOLDEN[f"{name}-ntc"]
+    assert _sha256(json.dumps(list(layout.forward))) == GOLDEN[f"{name}-layout"]

@@ -212,3 +212,23 @@ def test_bridge_measured_depth_is_cubic_for_serial_ripple():
     for n in (4, 8):
         ratio = depths[2 * n] / depths[n] / 8.0
         assert 0.5 <= ratio <= 2.0, (n, ratio)
+
+
+def test_overflowing_results_are_rejected():
+    """Finite inputs whose result does not fit a float raise, as do
+    non-finite inputs; nothing returns inf or nan."""
+    with pytest.raises(ValueError, match="overflows"):
+        quantum_seconds(BCDP, 512, 1e-320)
+    with pytest.raises(ValueError, match="overflows"):
+        required_clock(BCDP, 576, 1e-300)
+    with pytest.raises(ValueError, match="overflows"):
+        nfs_seconds(ClassicalModel(), 1 << 20)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            quantum_seconds(BCDP, 576, bad)
+        with pytest.raises(ValueError, match="finite"):
+            required_clock(BCDP, 576, bad)
+        with pytest.raises(ValueError, match="finite"):
+            ClassicalModel(compute_factor=bad)
+        with pytest.raises(ValueError, match="finite"):
+            crossover_bits(BCDP, bad)
