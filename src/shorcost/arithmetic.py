@@ -23,7 +23,7 @@ at small widths).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -68,13 +68,6 @@ class _Layout:
 
     def circuit(self) -> Circuit:
         return Circuit(self._next, self._regs)
-
-
-def _emit_inverted(c: Circuit, emit: Callable[[], None]) -> None:
-    """Emit ``emit()`` run backwards (used for subtraction)."""
-    start = len(c)
-    emit()
-    c.invert_span(start, replace=True)
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +307,14 @@ def build_controlled_adder(kind: AdderKind, n: int) -> Circuit:
 
 @dataclass
 class _ModAddLane:
-    """Shared scratch for modular additions: one (n+1)-bit adder channel."""
+    """Shared scratch for modular additions: one (n+1)-bit adder channel.
+
+    ``passes`` keeps, per target, the lane's adder pass onto that target
+    and its inverse, each emitted once into a circuit of its own and then
+    replayed by every modular add on the target.  The adder kind, ``k``,
+    ``cout`` and the ancillae are fixed per lane, and a lane belongs to one
+    circuit, so a pass depends on nothing but the target.
+    """
 
     hi: int
     k: list[int]
@@ -322,6 +322,17 @@ class _ModAddLane:
     flag: int
     adder_kind: AdderKind
     adder_anc: dict
+    passes: dict[tuple[int, ...], tuple[Circuit, Circuit]] = field(default_factory=dict)
+
+    def adder_passes(self, width: int, target: list[int]) -> tuple[Circuit, Circuit]:
+        """``w <- w + k`` and ``w <- w - k`` for ``w`` = ``target`` plus ``hi``,
+        as circuits of ``width`` wires."""
+        key = tuple(target)
+        if key not in self.passes:
+            add = Circuit(width)
+            _emit_adder(add, self.adder_kind, self.k, target + [self.hi], self.cout, self.adder_anc)
+            self.passes[key] = (add, add.inverse())
+        return self.passes[key]
 
 
 def _alloc_lane(lay: _Layout, kind: AdderKind, n: int, prefix: str = "") -> _ModAddLane:
@@ -352,35 +363,28 @@ def _modadd_core(
     When the loads are control-gated everything degrades to the identity,
     because adding zero is the identity and the flag fixup is gated too.
     """
-    w = target + [lane.hi]
-
-    def add() -> None:
-        _emit_adder(c, lane.adder_kind, lane.k, w, lane.cout, lane.adder_anc)
-
-    def sub() -> None:
-        _emit_inverted(c, add)
-
+    add, sub = lane.adder_passes(c.width, target)
     load_addend()
-    add()
+    c.append_circuit(add)
     load_addend()  # unload (self-inverse loads)
     load_modulus()
-    sub()
+    c.append_circuit(sub)
     load_modulus()
     c.cx(lane.cout, lane.flag)
     for bit in _setbits(modulus):
         c.cx(lane.flag, lane.k[bit])
-    add()
+    c.append_circuit(add)
     for bit in _setbits(modulus):
         c.cx(lane.flag, lane.k[bit])
     load_addend()
-    sub()
+    c.append_circuit(sub)
     c.x(lane.cout)
     if fix_ctl is None:
         c.cx(lane.cout, lane.flag)
     else:
         c.ccx(fix_ctl, lane.cout, lane.flag)
     c.x(lane.cout)
-    add()
+    c.append_circuit(add)
     load_addend()
 
 
@@ -394,21 +398,16 @@ def _emit_modadd(
 ) -> None:
     """target <- (target + addend) mod modulus, optionally gated on ``active``."""
 
-    def load_addend() -> None:
-        for bit in _setbits(addend):
+    def load(value: int) -> None:
+        for bit in _setbits(value):
             if active is None:
                 c.x(lane.k[bit])
             else:
                 c.cx(active, lane.k[bit])
 
-    def load_modulus() -> None:
-        for bit in _setbits(modulus):
-            if active is None:
-                c.x(lane.k[bit])
-            else:
-                c.cx(active, lane.k[bit])
-
-    _modadd_core(c, lane, target, modulus, load_addend, load_modulus, active)
+    _modadd_core(
+        c, lane, target, modulus, lambda: load(addend), lambda: load(modulus), active
+    )
 
 
 def _emit_modadd_selected(
@@ -493,6 +492,46 @@ def build_const_modadd(
 # ----------------------------------------------------------------------
 
 
+def _emit_ctrl_modmul(
+    circ: Circuit,
+    lane: _ModAddLane,
+    y: list[int],
+    p: list[int],
+    mult: int,
+    modulus: int,
+    ctl: int | None,
+    act: int | None,
+) -> None:
+    """y <- (mult * y) mod modulus when ``ctl`` is set (always, if None).
+
+    n gated modular adds accumulate mult*y into the zero register ``p``, a
+    controlled swap exchanges ``y`` and ``p``, and n more adds of the
+    negated multiples of mult^-1 return ``p`` to zero.  Under a control,
+    each add is gated on ``act`` = ctl AND the source bit.
+    """
+    inv = pow(mult, -1, modulus)
+
+    def gated_modadd(src_bit: int, addend: int) -> None:
+        if ctl is None:
+            _emit_modadd(circ, lane, p, addend, modulus, active=src_bit)
+        else:
+            circ.ccx(ctl, src_bit, act)
+            _emit_modadd(circ, lane, p, addend, modulus, active=act)
+            circ.ccx(ctl, src_bit, act)
+
+    for j in range(len(y)):
+        gated_modadd(y[j], (mult << j) % modulus)
+    for j in range(len(y)):
+        if ctl is None:
+            circ.swap(y[j], p[j])
+        else:
+            circ.cx(p[j], y[j])
+            circ.ccx(ctl, y[j], p[j])
+            circ.cx(p[j], y[j])
+    for j in range(len(y)):
+        gated_modadd(y[j], (modulus - ((inv << j) % modulus)) % modulus)
+
+
 def build_modmul_const(
     n: int,
     c: int,
@@ -520,27 +559,7 @@ def build_modmul_const(
     act = lay.qubit("act") if controlled else None
     circ = lay.circuit()
 
-    cinv = pow(c, -1, modulus)
-
-    def gated_modadd(src_bit: int, addend: int) -> None:
-        if ctl is None:
-            _emit_modadd(circ, lane, p, addend, modulus, active=src_bit)
-        else:
-            circ.ccx(ctl, src_bit, act)
-            _emit_modadd(circ, lane, p, addend, modulus, active=act)
-            circ.ccx(ctl, src_bit, act)
-
-    for j in range(n):
-        gated_modadd(y[j], (c << j) % modulus)
-    for j in range(n):
-        if ctl is None:
-            circ.swap(y[j], p[j])
-        else:
-            circ.cx(p[j], y[j])
-            circ.ccx(ctl, y[j], p[j])
-            circ.cx(p[j], y[j])
-    for j in range(n):
-        gated_modadd(y[j], (modulus - ((cinv << j) % modulus)) % modulus)
+    _emit_ctrl_modmul(circ, lane, y, p, c, modulus, ctl, act)
     return circ
 
 
@@ -593,22 +612,7 @@ def _modexp_serial(spec: ModexpSpec) -> Circuit:
 
     circ.x(r[0])
     for i in range(2 * n):
-        ci = pow(x, 1 << i, N)
-        cinv = pow(ci, -1, N)
-
-        def gated(src_bit: int, addend: int, ei: int) -> None:
-            circ.ccx(ei, src_bit, act)
-            _emit_modadd(circ, lane, p, addend, N, active=act)
-            circ.ccx(ei, src_bit, act)
-
-        for j in range(n):
-            gated(r[j], (ci << j) % N, e[i])
-        for j in range(n):
-            circ.cx(p[j], r[j])
-            circ.ccx(e[i], r[j], p[j])
-            circ.cx(p[j], r[j])
-        for j in range(n):
-            gated(r[j], (N - ((cinv << j) % N)) % N, e[i])
+        _emit_ctrl_modmul(circ, lane, r, p, pow(x, 1 << i, N), N, e[i], act)
     return circ
 
 

@@ -12,7 +12,9 @@ Gates are stored as two flat arrays: one ``uint8`` kind code per gate
 the emitters (``append``, ``x``, ``cx``, ...) check each gate with plain
 int comparisons, and ``from_dict`` and ``from_arrays``, which the lowering
 passes build their output with, check a whole array at a time.
-``Circuit.gates`` is a read-only tuple of ``Gate`` values, built on access.
+``invert_span`` and ``append_circuit`` only copy gates that were checked
+when they entered, so they check nothing again.  ``Circuit.gates`` is a
+read-only tuple of ``Gate`` values, built on access.
 
 Gate order is execution order.  There is no DAG here; data dependencies
 are recovered by the scheduler from operand overlap.
@@ -184,8 +186,8 @@ class Circuit:
     """Ordered gates over ``width`` wires with named registers.
 
     Builders mutate a circuit only through ``append``, ``extend``, the
-    single-gate emitters and ``invert_span``; consumers treat instances as
-    immutable once handed over.
+    single-gate emitters, ``invert_span`` and ``append_circuit``;
+    consumers treat instances as immutable once handed over.
     """
 
     def __init__(
@@ -322,22 +324,33 @@ class Circuit:
     def cvdag(self, c: int, t: int) -> "Circuit":
         return self._two(_CVDAG, c, t)
 
-    def invert_span(self, start: int, stop: int | None = None, *, replace: bool = False) -> "Circuit":
+    def invert_span(self, start: int, stop: int | None = None) -> "Circuit":
         """Append the inverse of ``gates[start:stop]``, which uncomputes
-        that span; with ``replace``, put the inverse in the span's place.
+        that span.
 
         The inverse of a valid gate acts on the same wires, so nothing is
         checked again.
         """
         start, stop, _ = slice(start, stop).indices(len(self))
         stop = max(start, stop)
-        kinds, ops = _inverted(self._kinds[start:stop], self._ops[3 * start : 3 * stop])
-        if replace:
-            self._kinds[start:stop] = array("B", kinds)
-            self._ops[3 * start : 3 * stop] = array("i", ops)
-            self._view = None
-        else:
-            self._extend_raw(kinds, ops)
+        self._extend_raw(*_inverted(self._kinds[start:stop], self._ops[3 * start : 3 * stop]))
+        return self
+
+    def append_circuit(self, other: "Circuit") -> "Circuit":
+        """Append the gates of ``other``, on the same wires.
+
+        Each of them was checked against ``other.width`` when it entered
+        ``other``, so only the widths are compared.  Builders record a
+        block they repeat once, in a circuit of their own, and replay it
+        this way.
+        """
+        if other.width > self.width:
+            raise CircuitError(
+                f"a circuit of width {other.width} does not fit in width {self.width}"
+            )
+        self._kinds.extend(other._kinds)
+        self._ops.extend(other._ops)
+        self._view = None
         return self
 
     # -- queries -----------------------------------------------------

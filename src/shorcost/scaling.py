@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .architecture import AC, NTC, ArchModel, decompose_toffoli, route_linear
+from .architecture import AC, ArchModel, decompose_toffoli, route_linear
 from .arithmetic import AdderKind, ModexpSpec, build_modexp
 from .scheduler import metrics
 
@@ -307,7 +307,7 @@ def empirical_bridge(spec: ModexpSpec, arch: ArchModel = AC) -> BridgeRecord:
     routed first, so the measured depth includes movement cost.
     """
     circuit = build_modexp(spec)
-    if arch is NTC or (arch.adjacency_required and arch.max_arity == 2):
+    if arch.adjacency_required and arch.max_arity == 2:
         circuit, _ = route_linear(decompose_toffoli(circuit))
     measured = metrics(circuit).depth
     model = _BRIDGE_MODEL[spec.adder]

@@ -254,10 +254,19 @@ def test_extend_and_invert_span():
         (GateKind.NOT, (0,)), (GateKind.CV, (0, 1)),
         (GateKind.CVDAG, (0, 1)), (GateKind.NOT, (0,)),
     ]
-    c.invert_span(0, 2, replace=True)
-    assert [g.kind for g in c.gates] == [
-        GateKind.CVDAG, GateKind.NOT, GateKind.CVDAG, GateKind.NOT
-    ]
+
+
+def test_append_circuit_copies_gates_and_checks_width():
+    block = Circuit(3).x(0).ccx(0, 1, 2).cv(2, 1)
+    c = Circuit(4, [("r", 0, 4)]).swap(3, 0)
+    c.append_circuit(block).append_circuit(block.inverse())
+    assert c.gates == (Gate(GateKind.SWAP, (3, 0)),) + block.gates + block.inverse().gates
+    assert c.registers == (Register("r", 0, 4),)
+    c.append_circuit(c)
+    assert len(c) == 14 and c.gates[7:] == c.gates[:7]
+    with pytest.raises(CircuitError, match="width 4 does not fit in width 3"):
+        block.append_circuit(c)
+    assert len(block) == 3
 
 
 def test_from_arrays_checks_the_batch():

@@ -6,6 +6,12 @@ preceded the array-backed one, with ``dumps`` written by
 ``json.dumps(to_dict(), indent=2)``.  They prove that the builders, the
 NTC lowering (decomposition, routing and its final layout) and the
 serializer still emit the same bytes.
+
+``BUILT_ONLY`` pins the built bytes of the other builders that go through
+the modular adder: constant modadd and modmul, modexp with the VBE and
+conditional-sum adders, and the multiply tree.  Those hashes were
+recorded from builders that emitted every adder pass gate by gate, before
+each lane recorded its passes once and replayed them.
 """
 
 import hashlib
@@ -17,8 +23,10 @@ from shorcost import (
     AdderKind,
     ModexpSpec,
     build_adder,
+    build_const_modadd,
     build_controlled_adder,
     build_modexp,
+    build_modmul_const,
     decompose_toffoli,
     route_linear,
 )
@@ -48,6 +56,27 @@ GOLDEN = {
     "modexp-4-13-2-s2": "5cfdcc3530a8389ff21daaf464cbc89dc7dcec5be63bdbfdf2db949a96660996",
     "modexp-4-13-2-s2-ntc": "2a4164df5e18c074510ca7bc26bbf51c82d5b84fb3dfb8af30e5ad023c10c59d",
     "modexp-4-13-2-s2-layout": "aa8c5e68ff8e1912885f01b5b8b753e3cf0d9e20a9bc6c837a3bc8327a3f5513",
+    "const-modadd-4-5-13-c0": "9245a6c3a80ebe393518cfa80cb9cfe7153a773b6e69b1e3ea5b180ebd41c64a",
+    "const-modadd-4-5-13-c1": "2f005b6a3ae15d1b8e82cda05bc2cc7db8075d0a958b0c45a9b703bf38805d14",
+    "const-modadd-4-5-13-c2": "35e6bcbb42c6e4656b6b6095fd1753fcbb251916f7a4c740de37690794665f71",
+    "modmul-4-5-13-c0": "6d652cacb9c91d0edbc9e1ef8e0576be5a7f89b0b4e053bf66a5862a3704d9f7",
+    "modmul-4-5-13-c1": "5835beea454eec15359b582f222c775792a753ddb12d8e49883ab099578dfed9",
+    "modexp-4-13-2-s1-vbe": "0041a21ea336d2408774aa242cb01777738df346a0ff1e12ad115a9d5baec781",
+    "modexp-4-13-2-s1-condsum": "3dd66daa47e80706d3ccb3af0b2d45ce794e05e5afd25bc6ad8ec13b38c8914c",
+    "modexp-8-221-5-s4": "a5927df79c7a5388ad89c48e9f0f4cb0f7750f05e498993109c301d5f4691be0",
+}
+
+BUILT_ONLY = {
+    **{
+        f"const-modadd-4-5-13-c{ctl}": (build_const_modadd, 4, 5, 13, ctl)
+        for ctl in (0, 1, 2)
+    },
+    **{f"modmul-4-5-13-c{ctl}": (build_modmul_const, 4, 5, 13, ctl) for ctl in (0, 1)},
+    **{
+        f"modexp-4-13-2-s1-{k.value}": (build_modexp, ModexpSpec(n=4, modulus=13, base=2, adder=k))
+        for k in (AdderKind.VBE_RIPPLE, AdderKind.CONDITIONAL_SUM)
+    },
+    "modexp-8-221-5-s4": (build_modexp, ModexpSpec(n=8, modulus=221, base=5, s=4)),
 }
 
 BUILDS = {
@@ -72,3 +101,20 @@ def test_built_and_routed_bytes_are_pinned(name):
     assert _sha256(circuit.dumps()) == GOLDEN[name]
     assert _sha256(routed.dumps()) == GOLDEN[f"{name}-ntc"]
     assert _sha256(json.dumps(list(layout.forward))) == GOLDEN[f"{name}-layout"]
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_ONLY))
+def test_built_bytes_are_pinned(name):
+    build, *args = BUILT_ONLY[name]
+    assert _sha256(build(*args).dumps()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("adder", list(AdderKind))
+def test_builds_repeat_exactly(adder, s):
+    spec = ModexpSpec(n=4, modulus=13, base=2, s=s, adder=adder)
+    first = build_modexp(spec)
+    assert build_modexp(spec) == first
+    build_modexp(ModexpSpec(n=4, modulus=11, base=2, s=s, adder=adder))
+    build_modmul_const(4, 5, 11, controlled=1, adder=adder)
+    assert build_modexp(spec) == first
