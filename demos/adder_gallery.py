@@ -5,26 +5,17 @@ and exhaustively verifies the n=3 instances so the numbers belong to
 circuits that are actually correct.
 """
 
-from shorcost import AdderKind, build_adder, exhaustive_check, metrics
+from shorcost import AdderKind, build_adder, contract, exhaustive_check, metrics
 
 KINDS = (AdderKind.VBE_RIPPLE, AdderKind.CDKM_RIPPLE, AdderKind.CONDITIONAL_SUM)
-
-
-def addition_contract(n):
-    domain = {"a": range(1 << n), "b": range(1 << n), "carry_out": (0, 1)}
-
-    def fn(vals):
-        total = vals["a"] + vals["b"]
-        return {"b": total % (1 << n), "carry_out": vals["carry_out"] ^ (total >> n)}
-
-    return domain, fn
 
 
 def main() -> None:
     print("exhaustive check at n=3 (all 128 inputs):")
     for kind in KINDS:
-        domain, fn = addition_contract(3)
-        cx = exhaustive_check(build_adder(kind, 3), fn, domain)
+        circ = build_adder(kind, 3)
+        domain, fn = contract("adder", circ)
+        cx = exhaustive_check(circ, fn, domain)
         print(f"  {kind.value:>8}: {'ok' if cx is None else cx}")
     print()
 

@@ -9,20 +9,16 @@ The ``s`` knob trades qubits for depth by running that many multiplier
 lanes at once; s=1 is the fully serial layout.
 """
 
-from shorcost import ModexpSpec, build_modexp, exhaustive_check, metrics
+from shorcost import ModexpSpec, build_modexp, contract, exhaustive_check, metrics
 
 
 def main() -> None:
     n, modulus, base = 4, 15, 7
 
     for s in (1, 2):
-        spec = ModexpSpec(n=n, modulus=modulus, base=base, s=s)
-        circ = build_modexp(spec)
-        cx = exhaustive_check(
-            circ,
-            lambda vals: {"r": pow(base, vals["e"], modulus)},
-            {"e": range(1 << spec.exponent_bits)},
-        )
+        circ = build_modexp(ModexpSpec(n=n, modulus=modulus, base=base, s=s))
+        domain, fn = contract("modexp", circ, modulus, base)
+        cx = exhaustive_check(circ, fn, domain)
         verdict = "all 256 exponents ok" if cx is None else f"FAILED: {cx}"
         m = metrics(circ)
         print(f"s={s}: {verdict}")

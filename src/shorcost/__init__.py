@@ -30,6 +30,7 @@ from .arithmetic import (
     build_modmul_const,
 )
 from .circuit import Circuit, CircuitError, Gate, GateKind, Register
+from .contracts import contract
 from .oracle import (
     BasisState,
     Counterexample,
@@ -97,6 +98,7 @@ __all__ = [
     "build_modexp",
     "build_modmul_const",
     "check_conformance",
+    "contract",
     "crossover_bits",
     "decompose_toffoli",
     "domain_size",

@@ -37,6 +37,7 @@ from .arithmetic import (
     build_modmul_const,
 )
 from .circuit import Circuit, CircuitError
+from .contracts import KINDS, contract
 from .oracle import domain_size, exhaustive_check, randomized_check
 from .scaling import (
     MODELS,
@@ -146,90 +147,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _reg_len(circ: Circuit, name: str) -> int:
-    try:
-        return circ.register(name).length
-    except KeyError:
-        raise CircuitError(
-            f"circuit has no register {name!r}; does --spec match the circuit?"
-        ) from None
-
-
-def _has_reg(circ: Circuit, name: str) -> bool:
-    return any(r.name == name for r in circ.registers)
-
-
-def _contract(circ: Circuit, args: argparse.Namespace):
-    """Build (domain, spec_fn) for the named functional contract.
-
-    Register widths come from the circuit itself; modulus and constants
-    come from flags since the JSON stores only structure.
-    """
-    spec = args.spec
-    if spec == "adder":
-        n = _reg_len(circ, "a")
-        full = 1 << n
-        domain: dict[str, Sequence[int]] = {
-            "a": range(full), "b": range(full), "carry_out": range(2)
-        }
-        has_ctl = _has_reg(circ, "ctl")
-        if has_ctl:
-            domain["ctl"] = range(2)
-
-        def fn(vals):
-            if has_ctl and vals["ctl"] == 0:
-                return {}
-            total = vals["a"] + vals["b"]
-            return {
-                "b": total % full,
-                "carry_out": vals["carry_out"] ^ (total >> n),
-            }
-
-        return domain, fn
-
-    _require(args, "modulus", "base")
-    modulus, const = args.modulus, args.base
-
-    if spec == "modadd":
-        domain = {"t": range(modulus)}
-        ctl_len = _reg_len(circ, "ctl") if _has_reg(circ, "ctl") else 0
-        if ctl_len:
-            domain["ctl"] = range(1 << ctl_len)
-        all_on = (1 << ctl_len) - 1
-
-        def fn(vals):
-            if ctl_len and vals["ctl"] != all_on:
-                return {}
-            return {"t": (vals["t"] + const) % modulus}
-
-        return domain, fn
-
-    if spec == "modmul":
-        domain = {"y": range(modulus)}
-        has_ctl = _has_reg(circ, "ctl")
-        if has_ctl:
-            domain["ctl"] = range(2)
-
-        def fn(vals):
-            if has_ctl and vals["ctl"] == 0:
-                return {}
-            return {"y": (vals["y"] * const) % modulus}
-
-        return domain, fn
-
-    # modexp: exponent register in, power lands in r, everything else clean
-    n = _reg_len(circ, "r")
-    domain = {"e": range(1 << (2 * n))}
-
-    def fn(vals):
-        return {"r": pow(const, vals["e"], modulus)}
-
-    return domain, fn
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     circ = _load_circuit(args.circuit)
-    domain, fn = _contract(circ, args)
+    if args.spec != "adder":
+        _require(args, "modulus", "base")
+    domain, fn = contract(args.spec, circ, args.modulus, args.base)
     if args.exhaustive:
         cases = domain_size(domain)
         cx = exhaustive_check(circ, fn, domain)
@@ -366,8 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a circuit against a functional contract")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--spec", required=True,
-                   choices=["adder", "modadd", "modmul", "modexp"])
+    p.add_argument("--spec", required=True, choices=KINDS)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--trials", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)

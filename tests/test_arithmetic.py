@@ -12,45 +12,35 @@ from shorcost.arithmetic import (
     build_modmul_const,
 )
 from shorcost.circuit import CircuitError, GateKind
+from shorcost.contracts import contract
 from shorcost.oracle import exhaustive_check, randomized_check
 from shorcost.scheduler import metrics
 
 ALL_KINDS = list(AdderKind)
 
 
-def adder_spec(n):
-    full = 1 << n
-
-    def fn(vals):
-        total = vals["a"] + vals["b"]
-        return {"b": total % full, "carry_out": vals["carry_out"] ^ (total >> n)}
-
-    return fn
-
-
-def adder_domain(n):
-    return {"a": range(1 << n), "b": range(1 << n), "carry_out": range(2)}
+def check(c, kind, modulus=None, const=None):
+    """Exhaustive check of ``c`` against its entry in the contract table."""
+    domain, fn = contract(kind, c, modulus, const)
+    return exhaustive_check(c, fn, domain)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_adder_exhaustive(kind, n):
-    c = build_adder(kind, n)
-    assert exhaustive_check(c, adder_spec(n), adder_domain(n)) is None
+    assert check(build_adder(kind, n), "adder") is None
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_adder_randomized_n8(kind, n=8):
     c = build_adder(kind, n)
-    cx = randomized_check(c, adder_spec(n), adder_domain(n), trials=1000, seed=42)
-    assert cx is None
+    domain, fn = contract("adder", c)
+    assert randomized_check(c, fn, domain, trials=1000, seed=42) is None
 
 
 def test_condsum_n8_exhaustive():
     """Full 2^16 x 2 sweep of the tree adder, the least obvious construction."""
-    n = 8
-    c = build_adder(AdderKind.CONDITIONAL_SUM, n)
-    assert exhaustive_check(c, adder_spec(n), adder_domain(n)) is None
+    assert check(build_adder(AdderKind.CONDITIONAL_SUM, 8), "adder") is None
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -61,10 +51,8 @@ def test_adder_followed_by_inverse_is_identity(kind):
     for g in c.gates + inv.gates:
         combined.append(g)
 
-    def fn(vals):
-        return {}
-
-    assert exhaustive_check(combined, fn, adder_domain(3)) is None
+    domain, _ = contract("adder", c)
+    assert exhaustive_check(combined, lambda vals: {}, domain) is None
 
 
 def test_adder_uses_only_classical_gates():
@@ -80,17 +68,7 @@ def test_adder_rejects_bad_width():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_controlled_adder(kind, n=3):
-    c = build_controlled_adder(kind, n)
-    full = 1 << n
-
-    def fn(vals):
-        if not vals["ctl"]:
-            return {}
-        total = vals["a"] + vals["b"]
-        return {"b": total % full, "carry_out": vals["carry_out"] ^ (total >> n)}
-
-    domain = dict(adder_domain(n), ctl=range(2))
-    assert exhaustive_check(c, fn, domain) is None
+    assert check(build_controlled_adder(kind, n), "adder") is None
 
 
 def test_adder_register_shapes():
@@ -107,44 +85,21 @@ def test_adder_register_shapes():
 # modular addition
 
 
-def modadd_domain(modulus, controlled):
-    d = {"t": range(modulus)}
-    if controlled:
-        d["ctl"] = range(1 << controlled)
-    return d
-
-
-def modadd_spec(const, modulus, controlled):
-    all_on = (1 << controlled) - 1
-
-    def fn(vals):
-        if controlled and vals["ctl"] != all_on:
-            return {}
-        return {"t": (vals["t"] + const) % modulus}
-
-    return fn
-
-
 @pytest.mark.parametrize("controlled", [0, 1, 2])
 @pytest.mark.parametrize("const", [0, 1, 7, 8, 14])
 def test_const_modadd_n4(const, controlled, n=4, modulus=15):
     c = build_const_modadd(n, const, modulus, controlled=controlled)
-    cx = exhaustive_check(
-        c, modadd_spec(const, modulus, controlled), modadd_domain(modulus, controlled)
-    )
-    assert cx is None
+    assert check(c, "modadd", modulus, const) is None
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_const_modadd_other_adders(kind):
-    c = build_const_modadd(4, 11, 13, adder=kind)
-    assert exhaustive_check(c, modadd_spec(11, 13, 0), modadd_domain(13, 0)) is None
+    assert check(build_const_modadd(4, 11, 13, adder=kind), "modadd", 13, 11) is None
 
 
 def test_const_modadd_even_modulus_ok():
     # the exponentiation layer needs odd moduli, plain modadd does not
-    c = build_const_modadd(4, 3, 12)
-    assert exhaustive_check(c, modadd_spec(3, 12, 0), modadd_domain(12, 0)) is None
+    assert check(build_const_modadd(4, 3, 12), "modadd", 12, 3) is None
 
 
 def test_const_modadd_validation():
@@ -156,34 +111,22 @@ def test_const_modadd_validation():
         build_const_modadd(4, 1, 15, controlled=3)
 
 
+def test_contract_rejects_bad_parameters():
+    c = build_const_modadd(4, 7, 15)
+    for kind, *params in (("nosuch",), ("modadd",), ("modadd", 15), ("modadd", 1, 7)):
+        with pytest.raises(CircuitError):
+            contract(kind, c, *params)
+
+
 # ---------------------------------------------------------------------------
 # modular multiplication
-
-
-def modmul_domain(modulus, controlled):
-    d = {"y": range(modulus)}
-    if controlled:
-        d["ctl"] = range(2)
-    return d
-
-
-def modmul_spec(const, modulus, controlled):
-    def fn(vals):
-        if controlled and not vals["ctl"]:
-            return {}
-        return {"y": (vals["y"] * const) % modulus}
-
-    return fn
 
 
 @pytest.mark.parametrize("controlled", [0, 1])
 @pytest.mark.parametrize("const", [1, 2, 4, 7, 8, 11, 13, 14])
 def test_modmul_n4(const, controlled, n=4, modulus=15):
     c = build_modmul_const(n, const, modulus, controlled=controlled)
-    cx = exhaustive_check(
-        c, modmul_spec(const, modulus, controlled), modmul_domain(modulus, controlled)
-    )
-    assert cx is None
+    assert check(c, "modmul", modulus, const) is None
 
 
 def test_modmul_requires_unit():
@@ -197,54 +140,37 @@ def test_modmul_requires_unit():
 # modular exponentiation
 
 
-def modexp_spec_fn(base, modulus):
-    def fn(vals):
-        return {"r": pow(base, vals["e"], modulus)}
-
-    return fn
-
-
 @pytest.mark.parametrize("s", [1, 2])
 def test_modexp_n4_all_exponents(s):
-    spec = ModexpSpec(n=4, modulus=15, base=7, s=s)
-    c = build_modexp(spec)
-    cx = exhaustive_check(c, modexp_spec_fn(7, 15), {"e": range(1 << 8)})
-    assert cx is None
+    c = build_modexp(ModexpSpec(n=4, modulus=15, base=7, s=s))
+    assert check(c, "modexp", 15, 7) is None
 
 
 @pytest.mark.parametrize("base", [2, 4, 8, 11, 13])
 def test_modexp_other_bases(base):
-    spec = ModexpSpec(n=4, modulus=15, base=base, s=1)
-    c = build_modexp(spec)
-    cx = exhaustive_check(c, modexp_spec_fn(base, 15), {"e": range(1 << 8)})
-    assert cx is None
+    c = build_modexp(ModexpSpec(n=4, modulus=15, base=base, s=1))
+    assert check(c, "modexp", 15, base) is None
 
 
 def test_modexp_other_moduli_pipeline():
     for modulus, base in [(13, 6), (9, 2), (11, 7)]:
-        spec = ModexpSpec(n=4, modulus=modulus, base=base, s=2)
-        c = build_modexp(spec)
-        cx = exhaustive_check(c, modexp_spec_fn(base, modulus), {"e": range(1 << 8)})
+        c = build_modexp(ModexpSpec(n=4, modulus=modulus, base=base, s=2))
+        cx = check(c, "modexp", modulus, base)
         assert cx is None, (modulus, base, cx)
 
 
 def test_modexp_n8_all_exponents():
     """Every one of the 2^16 exponents of an 8-bit serial modexp."""
-    spec = ModexpSpec(n=8, modulus=221, base=5, s=1)
-    c = build_modexp(spec)
-    cx = exhaustive_check(c, modexp_spec_fn(5, 221), {"e": range(1 << 16)})
-    assert cx is None
+    c = build_modexp(ModexpSpec(n=8, modulus=221, base=5, s=1))
+    assert check(c, "modexp", 221, 5) is None
 
 
 def test_modexp_grouped_lanes_randomized():
     """s >= 4 splits the exponent into pipelined groups joined by a
     multiply tree; checked against integer square-and-multiply."""
-    spec = ModexpSpec(n=8, modulus=247, base=2, s=4)
-    c = build_modexp(spec)
-    cx = randomized_check(
-        c, modexp_spec_fn(2, 247), {"e": range(1 << 16)}, trials=300, seed=17
-    )
-    assert cx is None
+    c = build_modexp(ModexpSpec(n=8, modulus=247, base=2, s=4))
+    domain, fn = contract("modexp", c, 247, 2)
+    assert randomized_check(c, fn, domain, trials=300, seed=17) is None
 
 
 def test_modexp_s2_is_strictly_shallower():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from shorcost.arithmetic import build_const_modadd, build_modmul_const
 from shorcost.cli import _parse_wall, run
 
 
@@ -49,17 +50,69 @@ def test_build_verify_estimate_cycle(tmp_path, capsys):
     assert check_conformance(routed, NTC).conforms
 
 
-def test_verify_counterexample_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "build,spec,cases,first_bad,expected",
+    [
+        (["--kind", "modadd", "--n", "4", "--modulus", "15", "--base", "7"],
+         "modadd", 15, {"t": 0}, {"t": 11}),
+        (["--kind", "ctrl-adder", "--n", "3"], "adder", 256, None, None),
+        (lambda: build_const_modadd(4, 7, 15, controlled=1),
+         "modadd", 30, {"t": 0, "ctl": 1}, {"t": 11}),
+        (lambda: build_const_modadd(4, 7, 15, controlled=2),
+         "modadd", 60, {"t": 0, "ctl": 3}, {"t": 11}),
+        (lambda: build_modmul_const(4, 7, 15, controlled=1),
+         "modmul", 30, {"y": 1, "ctl": 1}, {"y": 11}),
+    ],
+    ids=["modadd", "ctrl-adder", "modadd-ctl1", "modadd-ctl2", "modmul-ctl1"],
+)
+def test_verify_counterexample_exit_code(tmp_path, capsys, build, spec, cases,
+                                         first_bad, expected):
+    """The right contract passes over every input, controls included; a
+    wrong constant fails first where every control bit is set."""
     out = tmp_path / "m.json"
-    assert run(["build", "--kind", "modadd", "--n", "4", "--modulus", "15",
-                "--base", "7", "--out", str(out)]) == 0
+    if callable(build):
+        out.write_text(build().dumps())
+    else:
+        assert run(["build", *build, "--out", str(out)]) == 0
+    verify = ["verify", "--circuit", str(out), "--spec", spec, "--exhaustive",
+              "--modulus", "15"]
+    assert run(verify + ["--base", "7"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"result": "pass", "cases": cases}
+    if first_bad is None:
+        return
     # deliberately claim the wrong constant
-    code = run(["verify", "--circuit", str(out), "--spec", "modadd",
-                "--modulus", "15", "--base", "11", "--exhaustive"])
-    assert code == 1
+    assert run(verify + ["--base", "11"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["result"] == "counterexample"
     assert set(report) == {"result", "input_registers", "expected", "actual"}
+    assert {name: report["input_registers"][name] for name in first_bad} == first_bad
+    assert report["expected"] == expected
+
+
+@pytest.mark.parametrize(
+    "kind,argv",
+    [
+        ("modadd", ["--spec", "modadd", "--modulus", "0", "--base", "7"]),
+        ("modmul", ["--spec", "modmul", "--modulus", "-15", "--base", "7"]),
+        ("modexp", ["--spec", "modexp", "--modulus", "-15", "--base", "7"]),
+        ("modexp", ["--spec", "modexp", "--modulus", "1", "--base", "7"]),
+        ("modexp", ["--spec", "modexp", "--modulus", "15", "--base", "7",
+                    "--trials", "0"]),
+    ],
+    ids=["modadd-modulus-0", "modmul-modulus--15", "modexp-modulus--15",
+         "modexp-modulus-1", "trials-0"],
+)
+def test_verify_rejects_vacuous_runs(tmp_path, capsys, kind, argv):
+    """A modulus below 2 or zero trials would check nothing (or the wrong
+    thing) and must not report a verdict."""
+    out = tmp_path / "c.json"
+    assert run(["build", "--kind", kind, "--n", "4", "--modulus", "15",
+                "--base", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for mode in (["--exhaustive"], ["--trials", "8"]):
+        assert run(["verify", "--circuit", str(out), *mode, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("shorcost: ")
 
 
 def test_verify_randomized_deterministic(tmp_path, capsys):

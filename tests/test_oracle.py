@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from shorcost import oracle
 from shorcost.circuit import GATE_ARITY, Circuit, CircuitError, Gate, GateKind
+from shorcost.contracts import contract
 from shorcost.oracle import (
     BasisState,
     Counterexample,
@@ -146,13 +147,7 @@ def test_mutated_adder_is_caught():
     for i, g in enumerate(good.gates):
         if i != 7:  # drop one gate in the middle
             mutated.append(g)
-    n = 3
-
-    def fn(vals):
-        total = vals["a"] + vals["b"]
-        return {"b": total % (1 << n), "carry_out": vals["carry_out"] ^ (total >> n)}
-
-    domain = {"a": range(8), "b": range(8), "carry_out": range(2)}
+    domain, fn = contract("adder", good)
     assert exhaustive_check(good, fn, domain) is None
     assert exhaustive_check(mutated, fn, domain) is not None
 
