@@ -15,6 +15,7 @@ and reports the final qubit-to-position permutation instead of undoing it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,51 +187,92 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, LayoutPermutation]:
     one.  The layout drifts, and the final permutation is returned with
     the routed circuit; emitted operands are line positions.  Nothing is
     inserted for already-adjacent operands.
+
+    Each emitted gate is scheduled ASAP (see ``scheduler``) as it is
+    emitted, and the returned circuit carries those steps, so ``metrics``
+    and ``asap_schedule`` of it do not walk its gates again.
     """
     pos = list(range(circuit.width))  # qubit -> position
     holder = list(range(circuit.width))  # position -> qubit
+    ready = [0] * circuit.width  # position -> first free timestep
     kinds_in, ops_in = circuit.as_arrays()
-    kinds: list[int] = []
+    # one entry per emitted gate: the lower position of a SWAP, or -1 for
+    # the next input gate, whose operand positions go to ``ops``
+    order: list[int] = []
     ops: list[int] = []
-    emit_kind, emit_ops = kinds.append, ops.extend
+    steps = array("i")
+    mark, emit_ops, place = order.append, ops.extend, steps.append
 
-    def swap_positions(p: int) -> None:
-        """SWAP line positions p and p+1, updating the layout."""
-        emit_kind(_SWAP)
-        emit_ops((p, p + 1, -1))
-        qa, qb = holder[p], holder[p + 1]
-        holder[p], holder[p + 1] = qb, qa
-        pos[qa], pos[qb] = p + 1, p
-
-    def march_right(p: int, stop: int) -> None:
-        while stop - p > 1:
-            swap_positions(p)
-            p += 1
-
-    def march_left(p: int, stop: int) -> None:
-        while p - stop > 1:
-            swap_positions(p - 1)
-            p -= 1
-
-    # an unused operand slot holds -1
-    for kind, a, b, c in zip(kinds_in.tolist(), *ops_in.T.tolist()):
-        if c >= 0:
-            lo, mid, hi = sorted((pos[a], pos[b], pos[c]))
-            march_right(lo, mid)
-            march_left(hi, mid)
-            emit_ops((pos[a], pos[b], pos[c]))
-        elif b >= 0:
-            p, q = sorted((pos[a], pos[b]))
-            march_right(p, q)
-            emit_ops((pos[a], pos[b], -1))
+    # An unused operand slot holds -1.  A gate's outer operands march to
+    # either side of its middle one (for two operands, the upper one).
+    # The marching qubit carries its ready time t: each SWAP it makes
+    # lands at t, or later if the position ahead is busy, and leaves the
+    # position behind it ready one step later.
+    for a, b, c in zip(*ops_in.T.tolist()):
+        if b < 0:
+            lo = mid = pos[a]
+            t = ready[lo]
+            emit_ops((lo, -1, -1))
         else:
-            emit_ops((pos[a], -1, -1))
-        emit_kind(kind)
+            lo, mid = pos[a], pos[b]
+            if lo > mid:
+                lo, mid = mid, lo
+            if c >= 0:
+                lo, mid, hi = sorted((lo, mid, pos[c]))
+            t = ready[lo]
+            if mid - lo > 1:
+                qubit = holder[lo]
+                while mid - lo > 1:
+                    ahead = lo + 1
+                    if ready[ahead] > t:
+                        t = ready[ahead]
+                    moved = holder[lo] = holder[ahead]
+                    pos[moved] = lo
+                    mark(lo)
+                    place(t)
+                    t += 1
+                    ready[lo] = t
+                    lo = ahead
+                holder[lo] = qubit
+                pos[qubit] = lo
+            if ready[mid] > t:
+                t = ready[mid]
+            if c >= 0:
+                u = ready[hi]
+                if hi - mid > 1:
+                    qubit = holder[hi]
+                    while hi - mid > 1:
+                        ahead = hi - 1
+                        if ready[ahead] > u:
+                            u = ready[ahead]
+                        moved = holder[hi] = holder[ahead]
+                        pos[moved] = hi
+                        mark(ahead)
+                        place(u)
+                        u += 1
+                        ready[hi] = u
+                        hi = ahead
+                    holder[hi] = qubit
+                    pos[qubit] = hi
+                if u > t:
+                    t = u
+                ready[hi] = t + 1
+                emit_ops((pos[a], pos[b], pos[c]))
+            else:
+                emit_ops((pos[a], pos[b], -1))
+        ready[lo] = ready[mid] = t + 1
+        mark(-1)
+        place(t)
 
-    routed = Circuit.from_arrays(
-        circuit.width,
-        circuit.registers,
-        np.array(kinds, dtype=np.uint8),
-        np.array(ops, dtype=np.int32).reshape(-1, 3),
-    )
+    marks = np.array(order, dtype=np.int32)
+    swaps = marks >= 0
+    low = marks[swaps]
+    kinds = np.full(len(marks), _SWAP, dtype=np.uint8)
+    kinds[~swaps] = kinds_in
+    routed_ops = np.full((len(marks), 3), -1, dtype=np.int32)
+    routed_ops[~swaps] = np.array(ops, dtype=np.int32).reshape(-1, 3)
+    routed_ops[swaps, 0] = low
+    routed_ops[swaps, 1] = low + 1
+    routed = Circuit.from_arrays(circuit.width, circuit.registers, kinds, routed_ops)
+    routed._steps = steps
     return routed, LayoutPermutation(tuple(pos))

@@ -14,7 +14,9 @@ int comparisons, and ``from_dict`` and ``from_arrays``, which the lowering
 passes build their output with, check a whole array at a time.
 ``invert_span`` and ``append_circuit`` only copy gates that were checked
 when they entered, so they check nothing again.  ``Circuit.gates`` is a
-read-only tuple of ``Gate`` values, built on access.
+read-only tuple of ``Gate`` values, built on access.  A circuit also keeps
+the ASAP timestep of each gate once the scheduler or the router has worked
+it out.  Every mutation drops both the snapshot and the timesteps.
 
 Gate order is execution order.  There is no DAG here; data dependencies
 are recovered by the scheduler from operand overlap.
@@ -27,7 +29,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -86,6 +88,8 @@ _ARITY = np.array(_ARITIES, dtype=np.int8)
 _INVERSE_CODES = bytes(KIND_CODE[_INVERSE_KIND[kind]] for kind in _KINDS).ljust(256, b"\0")
 
 _MAX_WIDTH = 1 << 31  # int32 operands index at most 2^31 wires
+
+_T = TypeVar("_T")
 
 
 def _is_int(value: object) -> bool:
@@ -210,6 +214,8 @@ class Circuit:
         self._kinds = array("B")
         self._ops = array("i")
         self._view: tuple[Gate, ...] | None = ()
+        # ASAP timestep of each gate (see ``scheduler``); None until known
+        self._steps: array | None = array("i")
 
     def _check_registers(self) -> None:
         seen: set[str] = set()
@@ -257,17 +263,20 @@ class Circuit:
             code = int(kinds[bad])
             used = tuple(int(q) for q in ops[bad, : _ARITIES[code]])
             raise CircuitError(f"gates[{bad}]: {_gate_error(code, used, width)}")
-        c._extend_raw(kinds.astype(np.uint8).tobytes(), ops.astype(np.int32).tobytes())
+        # checked above, so narrowing cannot wrap; each is copied only once
+        kinds = np.ascontiguousarray(kinds, np.uint8)
+        ops = np.ascontiguousarray(ops, np.int32).reshape(-1).view(np.uint8)
+        c._extend_raw(kinds, ops)
         return c
 
     # -- construction ------------------------------------------------
 
-    def _extend_raw(self, kinds: bytes, ops: bytes) -> None:
+    def _extend_raw(self, kinds: bytes | np.ndarray, ops: bytes | np.ndarray) -> None:
         """Append gates given as raw kind codes and operand slots that are
-        already known to be valid."""
+        already known to be valid, as bytes or 1-D ``uint8`` arrays."""
         self._kinds.frombytes(kinds)
         self._ops.frombytes(ops)
-        self._view = None
+        self._view = self._steps = None
 
     def _put(self, code: int, slots: list) -> None:
         try:
@@ -275,7 +284,7 @@ class Circuit:
         except TypeError:  # not an integer; the range check passed
             raise _gate_error(code, tuple(slots[: _ARITIES[code]]), self.width) from None
         self._kinds.append(code)
-        self._view = None
+        self._view = self._steps = None
 
     def _one(self, code: int, a: int) -> "Circuit":
         if not 0 <= a < self.width:
@@ -350,7 +359,7 @@ class Circuit:
             )
         self._kinds.extend(other._kinds)
         self._ops.extend(other._ops)
-        self._view = None
+        self._view = self._steps = None
         return self
 
     # -- queries -----------------------------------------------------
@@ -375,19 +384,16 @@ class Circuit:
     def gates(self) -> tuple[Gate, ...]:
         """The gates in execution order, as a read-only snapshot."""
         if self._view is None:
-            # Gates are values, so equal gates share one object: a circuit
-            # repeats a small vocabulary of gates many times over.
-            made: dict[tuple[int, int, int, int], Gate] = {}
-            view = []
-            it = iter(self._ops)
-            for key in zip(self._kinds, it, it, it):
-                gate = made.get(key)
-                if gate is None:
-                    k, a, b, c = key
-                    gate = made[key] = _trusted_gate(_KINDS[k], (a, b, c)[: _ARITIES[k]])
-                view.append(gate)
-            self._view = tuple(view)
+            # Gates are values, so equal gates share one object.
+            self._view = tuple(self._each_distinct(_make_gate))
         return self._view
+
+    def _each_distinct(self, make: Callable[[tuple[int, int, int, int]], _T]) -> Iterator[_T]:
+        """``make((kind, a, b, c))`` of each gate, in order.  A circuit
+        repeats a small vocabulary of gates many times over, so ``make`` runs
+        once per distinct gate and its result is shared."""
+        it = iter(self._ops)
+        return map(_Made(make).__getitem__, zip(self._kinds, it, it, it))
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the gate arrays: ``uint8`` kind codes (see ``KIND_CODE``)
@@ -437,48 +443,62 @@ class Circuit:
     @classmethod
     def from_dict(cls, data: dict) -> "Circuit":
         """Rebuild a circuit from ``to_dict`` output.  Every field is checked:
-        integer width and register geometry, known kinds, integer operands
-        (booleans and floats are rejected), arity, distinct operands and
-        range; any failure raises ``CircuitError``."""
+        JSON types (objects, lists, strings), integer width and register
+        geometry, known kinds, integer operands (booleans and floats are
+        rejected), arity, distinct operands and range; any failure raises
+        ``CircuitError`` naming the field."""
+        _expect([data], dict, "a circuit document")
         try:
+            registers = _expect([data["registers"]], list, "registers")[0]
             regs = [
                 Register(r["name"], r["offset"], r["length"])
-                for r in data["registers"]
+                for r in _expect(registers, dict, "registers[{}]")
             ]
             c = cls(data["width"], regs)
-            gates = data["gates"]
-            if not isinstance(gates, list):
-                raise CircuitError(f"gates must be a list, got {type(gates).__name__}")
-            names = [g["kind"] for g in gates]
-            kinds = np.array([_CODE_BY_NAME.get(k, _UNKNOWN) for k in names], dtype=np.uint8)
-            operands = [g["operands"] for g in gates]
-            counts = np.fromiter(map(len, operands), dtype=np.int64, count=len(operands))
-            flat = list(chain.from_iterable(operands))
-        except CircuitError:
-            raise
+            gates = _expect([data["gates"]], list, "gates")[0]
+            # A gate that is not an object, or a kind that is not a string,
+            # makes a step below fail or look unknown; only then is its JSON
+            # type named, so a valid document pays for no extra pass.
+            try:
+                names = [g["kind"] for g in gates]
+                operands = [g["operands"] for g in gates]
+            except TypeError:
+                _expect(gates, dict, "gates[{}]")
+                raise
         except KeyError as exc:
             raise CircuitError(f"malformed circuit document: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise CircuitError(f"malformed circuit document: {exc}") from exc
+        _expect(operands, list, "gates[{}].operands")
+        try:
+            kinds = np.array([_CODE_BY_NAME.get(k, _UNKNOWN) for k in names], dtype=np.uint8)
+        except TypeError:
+            _expect(names, str, "gates[{}].kind")
+            raise
+        counts = np.fromiter(map(len, operands), dtype=np.int64, count=len(operands))
+        flat = list(chain.from_iterable(operands))
 
         def reject(i: int) -> CircuitError:
             ops = tuple(operands[i])
             return CircuitError(f"gates[{i}]: {_gate_error(int(kinds[i]), ops, c.width)}")
 
+        def reject_operand(j: int) -> CircuitError:
+            """The error for the gate that holds ``flat[j]``."""
+            return reject(int(np.searchsorted(np.cumsum(counts), j, side="right")))
+
         unknown = np.flatnonzero(kinds == _UNKNOWN)
         if unknown.size:
             i = int(unknown[0])
+            _expect([names[i]], str, f"gates[{i}].kind")
             raise CircuitError(f"gates[{i}]: unknown gate kind {names[i]!r}")
         wrong = np.flatnonzero(counts != _ARITY[kinds])
         if wrong.size:
             raise reject(int(wrong[0]))
         if not set(map(type, flat)) <= {int}:  # bool and float are rejected too
-            j = next(j for j, q in enumerate(flat) if type(q) is not int)
-            raise reject(int(np.searchsorted(np.cumsum(counts), j, side="right")))
+            raise reject_operand(next(j for j, q in enumerate(flat) if type(q) is not int))
         try:
             values = np.array(flat, dtype=np.int64)
-        except OverflowError as exc:
-            raise CircuitError(f"malformed circuit document: {exc}") from exc
+        except OverflowError:
+            wide = next(j for j, q in enumerate(flat) if not -(1 << 63) <= q < 1 << 63)
+            raise reject_operand(wide) from None
         ops = np.full((len(counts), 3), -1, dtype=np.int64)
         ops[np.arange(3) < counts[:, None]] = values
         return cls.from_arrays(c.width, c.registers, kinds, ops)
@@ -488,15 +508,59 @@ class Circuit:
         head = json.dumps({**self._header(), "gates": []}, indent=2)
         if not len(self):
             return head + "\n"
-        it = iter(self._ops)
-        body = ",\n".join(
-            [_GATE_TEXT[k] % (a, b, c)[: _ARITIES[k]] for k, a, b, c in zip(self._kinds, it, it, it)]
-        )
-        return head[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
+        # one join writes the whole text: each concatenation after it
+        # would copy every byte again
+        parts = list(self._each_distinct(_gate_json))
+        parts[0] = head[: -len("[]\n}")] + "[\n" + parts[0]
+        parts[-1] += "\n  ]\n}\n"
+        return ",\n".join(parts)
 
     @classmethod
     def loads(cls, text: str) -> "Circuit":
         return cls.from_dict(json.loads(text))
+
+
+_JSON_TYPE = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "a number",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
+def _expect(values: list, kind: type, where: str) -> list:
+    """``values``, once each is checked to be a ``kind``; ``where.format(i)``
+    names the value at index i in the error."""
+    if not all(issubclass(t, kind) for t in set(map(type, values))):
+        i = next(i for i, v in enumerate(values) if not isinstance(v, kind))
+        got = _JSON_TYPE.get(type(values[i]), type(values[i]).__name__)
+        raise CircuitError(f"{where.format(i)} must be {_JSON_TYPE[kind]}, got {got}")
+    return values
+
+
+class _Made(dict):
+    """``make(key)`` for each key looked up, made on its first lookup."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _make_gate(key: tuple[int, int, int, int]) -> Gate:
+    k, a, b, c = key
+    return _trusted_gate(_KINDS[k], (a, b, c)[: _ARITIES[k]])
+
+
+def _gate_json(key: tuple[int, int, int, int]) -> str:
+    k, a, b, c = key
+    return _GATE_TEXT[k] % (a, b, c)[: _ARITIES[k]]
 
 
 def _inverted(kinds: array, ops: array) -> tuple[bytes, bytes]:

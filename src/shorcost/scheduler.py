@@ -4,10 +4,16 @@ Two gates conflict iff they share a qubit; each gate costs one timestep
 and concurrency is unlimited.  A gate is placed at one step past the
 latest conflicting predecessor, so depth equals the longest path through
 the qubit-conflict DAG.  Ties follow circuit order.
+
+The step of every gate is worked out once per circuit and kept on it, as
+an ``int32`` array, until the circuit is next mutated.  ``route_linear``
+fills that memo while it routes, so ``metrics`` and ``asap_schedule`` of a
+routed circuit walk no gates in Python.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +43,23 @@ class Metrics:
     mean_concurrency: float
 
 
-def _asap_steps(circuit: Circuit) -> list[int]:
-    """Timestep of each gate under greedy as-soon-as-possible placement.
+def _asap_steps(circuit: Circuit) -> np.ndarray:
+    """Timestep of each gate under greedy as-soon-as-possible placement:
+    a read-only ``int32`` view of the steps the circuit keeps, worked out
+    on first use."""
+    if circuit._steps is None:
+        circuit._steps = _walk_steps(circuit)
+    steps = np.frombuffer(circuit._steps, dtype=np.int32)
+    steps.flags.writeable = False
+    return steps
 
-    ``ready[q]`` is the first step at which wire q is free; a gate lands at
-    the max over its operands and pushes all of them one step past itself.
-    """
+
+def _walk_steps(circuit: Circuit) -> array:
+    """``ready[q]`` is the first step at which wire q is free; a gate lands
+    at the max over its operands and pushes all of them one step past
+    itself."""
     ready = [0] * circuit.width
-    steps: list[int] = []
+    steps = array("i")
     place = steps.append
     _, ops = circuit.as_arrays()
     # an unused operand slot holds -1
@@ -66,15 +81,14 @@ def _asap_steps(circuit: Circuit) -> list[int]:
 def asap_schedule(circuit: Circuit) -> Schedule:
     """Greedy as-soon-as-possible placement; ties follow circuit order."""
     steps = _asap_steps(circuit)
-    timesteps: list[list[int]] = [[] for _ in range(max(steps, default=-1) + 1)]
-    for idx, t in enumerate(steps):
-        timesteps[t].append(idx)
-    return Schedule(tuple(map(tuple, timesteps)))
+    order = np.argsort(steps, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(steps)).tolist()
+    return Schedule(tuple(tuple(order[i:j]) for i, j in zip([0, *ends], ends)))
 
 
 def metrics(circuit: Circuit) -> Metrics:
     """Depth/width/concurrency summary of a circuit under ASAP scheduling."""
-    per_step = np.bincount(np.array(_asap_steps(circuit), dtype=np.int64))
+    per_step = np.bincount(_asap_steps(circuit))
     total = len(circuit)
     depth = len(per_step)
     max_conc = int(per_step.max(initial=0))

@@ -172,43 +172,56 @@ def _doc(gates=(), width=4, registers=()):
     return {"width": width, "registers": list(registers), "gates": list(gates)}
 
 
+# (document, what the error must say); the ids doc0, doc1, ... follow this order
+MALFORMED = [
+    (_doc([{"kind": "CNOT", "operands": [0.5, 1]}]), r"gates\[0\]: CNOT operands must be integers"),
+    (_doc([{"kind": "CNOT", "operands": [1.0, 2]}]), r"gates\[0\]: CNOT operands must be integers"),
+    (_doc([{"kind": "CNOT", "operands": [True, 2]}]), r"gates\[0\]: CNOT operands must be integers"),
+    (_doc([{"kind": "NOT", "operands": [False]}]), r"gates\[0\]: NOT operands must be integers"),
+    (_doc([{"kind": "NOT", "operands": ["0"]}]), r"gates\[0\]: NOT operands must be integers"),
+    (_doc([{"kind": "NOT", "operands": [None]}]), r"gates\[0\]: NOT operands must be integers"),
+    (_doc(width=4.0), "width must be an integer"),
+    (_doc(width=True), "width must be an integer"),
+    (_doc(width="4"), "width must be an integer"),
+    (_doc(width=1 << 31), r"width must be in \[1, 2\^31\)"),
+    (_doc(registers=[{"name": "a", "offset": 0.0, "length": 1}]), "register a offset and length"),
+    (_doc(registers=[{"name": "a", "offset": 0, "length": 2.0}]), "register a offset and length"),
+    (_doc(registers=[{"name": "a", "offset": False, "length": 1}]), "register a offset and length"),
+    (_doc(registers=[{"name": 7, "offset": 0, "length": 1}]), "register name must be"),
+    (_doc([{"kind": "HADAMARD", "operands": [0]}]), r"gates\[0\]: unknown gate kind 'HADAMARD'"),
+    (_doc([{"kind": "CNOT", "operands": [0, 1, 2]}]), r"gates\[0\]: CNOT takes 2 operands, got 3"),
+    (_doc([{"kind": "TOFFOLI", "operands": [0, 1]}]), r"gates\[0\]: TOFFOLI takes 3 operands"),
+    (_doc([{"kind": "NOT", "operands": []}]), r"gates\[0\]: NOT takes 1 operands, got 0"),
+    (_doc([{"kind": "NOT", "operands": 0}]), r"gates\[0\]\.operands must be a list, got a number"),
+    (_doc([{"kind": "CNOT", "operands": [2, 2]}]), r"gates\[0\]: CNOT operands must be distinct"),
+    (_doc([{"kind": "TOFFOLI", "operands": [0, 1, 0]}]), r"gates\[0\]: TOFFOLI operands must be"),
+    (_doc([{"kind": "NOT", "operands": [-1]}]), r"gates\[0\]: negative qubit index"),
+    (_doc([{"kind": "CNOT", "operands": [0, 4]}]), r"gates\[0\]: gate CNOT\(0, 4\) out of range"),
+    (_doc([{"kind": "NOT", "operands": [1 << 40]}]), r"gates\[0\]: gate NOT\(\d+,\) out of range"),
+    (_doc([{"kind": "NOT", "operands": [1 << 70]}]), r"gates\[0\]: gate NOT\(\d+,\) out of range"),
+    (_doc([{"kind": "NOT", "operands": [0]}, {"kind": "NOT"}]), "missing field 'operands'"),
+    ({"width": 4, "registers": [], "gates": {"kind": "NOT"}}, "gates must be a list, got an object"),
+    ([], "a circuit document must be an object, got a list"),
+    (_doc([{"kind": ["CNOT"], "operands": [0, 1]}]), r"gates\[0\]\.kind must be a string, got a list"),
+    (_doc([{"kind": "NOT", "operands": 5}]), r"gates\[0\]\.operands must be a list, got a number"),
+    (_doc([{"kind": "NOT", "operands": "0"}]), r"gates\[0\]\.operands must be a list, got a string"),
+    ({"width": 4, "registers": None, "gates": []}, "registers must be a list, got null"),
+    (_doc(registers=[None]), r"registers\[0\] must be an object, got null"),
+    (_doc([{"kind": "NOT", "operands": [0]}, None]), r"gates\[1\] must be an object, got null"),
+    ({"width": 4, "registers": [], "gates": None}, "gates must be a list, got null"),
+    ("{}", "a circuit document must be an object, got a string"),
+    (_doc([{"kind": 5, "operands": [0]}]), r"gates\[0\]\.kind must be a string, got a number"),
+    (_doc([{"kind": "NOT", "operands": {"0": 1}}]), r"gates\[0\]\.operands must be a list"),
+]
+
+
 @pytest.mark.parametrize(
-    "doc",
-    [
-        _doc([{"kind": "CNOT", "operands": [0.5, 1]}]),
-        _doc([{"kind": "CNOT", "operands": [1.0, 2]}]),
-        _doc([{"kind": "CNOT", "operands": [True, 2]}]),
-        _doc([{"kind": "NOT", "operands": [False]}]),
-        _doc([{"kind": "NOT", "operands": ["0"]}]),
-        _doc([{"kind": "NOT", "operands": [None]}]),
-        _doc(width=4.0),
-        _doc(width=True),
-        _doc(width="4"),
-        _doc(width=1 << 31),
-        _doc(registers=[{"name": "a", "offset": 0.0, "length": 1}]),
-        _doc(registers=[{"name": "a", "offset": 0, "length": 2.0}]),
-        _doc(registers=[{"name": "a", "offset": False, "length": 1}]),
-        _doc(registers=[{"name": 7, "offset": 0, "length": 1}]),
-        _doc([{"kind": "HADAMARD", "operands": [0]}]),
-        _doc([{"kind": "CNOT", "operands": [0, 1, 2]}]),
-        _doc([{"kind": "TOFFOLI", "operands": [0, 1]}]),
-        _doc([{"kind": "NOT", "operands": []}]),
-        _doc([{"kind": "NOT", "operands": 0}]),
-        _doc([{"kind": "CNOT", "operands": [2, 2]}]),
-        _doc([{"kind": "TOFFOLI", "operands": [0, 1, 0]}]),
-        _doc([{"kind": "NOT", "operands": [-1]}]),
-        _doc([{"kind": "CNOT", "operands": [0, 4]}]),
-        _doc([{"kind": "NOT", "operands": [1 << 40]}]),
-        _doc([{"kind": "NOT", "operands": [1 << 70]}]),
-        _doc([{"kind": "NOT", "operands": [0]}, {"kind": "NOT"}]),
-        {"width": 4, "registers": [], "gates": {"kind": "NOT"}},
-        [],
-    ],
+    "doc, match", MALFORMED, ids=[f"doc{i}" for i in range(len(MALFORMED))]
 )
-def test_loads_rejects_malformed_documents(doc):
-    with pytest.raises(CircuitError):
+def test_loads_rejects_malformed_documents(doc, match):
+    with pytest.raises(CircuitError, match=match):
         Circuit.from_dict(doc)
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match=match):
         Circuit.loads(json.dumps(doc))
 
 

@@ -12,6 +12,11 @@ the modular adder: constant modadd and modmul, modexp with the VBE and
 conditional-sum adders, and the multiply tree.  Those hashes were
 recorded from builders that emitted every adder pass gate by gate, before
 each lane recorded its passes once and replayed them.
+
+The ``-cli-`` entries pin what the command line prints for ``build`` →
+``estimate --arch ac`` → ``estimate --arch ntc --emit-routed`` on the two
+n=4 modexp circuits.  The files it writes must carry the same bytes as
+the library pins above.
 """
 
 import hashlib
@@ -30,6 +35,7 @@ from shorcost import (
     decompose_toffoli,
     route_linear,
 )
+from shorcost.cli import run
 
 GOLDEN = {
     "adder-vbe-4": "aa5bd4ce86c15327620e7f16e9e0029c355750a4deda97ccf9a142fb94ce16dd",
@@ -64,6 +70,10 @@ GOLDEN = {
     "modexp-4-13-2-s1-vbe": "0041a21ea336d2408774aa242cb01777738df346a0ff1e12ad115a9d5baec781",
     "modexp-4-13-2-s1-condsum": "3dd66daa47e80706d3ccb3af0b2d45ce794e05e5afd25bc6ad8ec13b38c8914c",
     "modexp-8-221-5-s4": "a5927df79c7a5388ad89c48e9f0f4cb0f7750f05e498993109c301d5f4691be0",
+    "modexp-4-13-2-s1-cli-ac": "296d926848f92fef84dc37c33993fe1c2ffdf210735e32f85d0654a6a6b7371c",
+    "modexp-4-13-2-s1-cli-ntc": "fb6af1c5b36fa1774aaed3146521f5abfc3ebb7decbe2b808173df65a0b7bf93",
+    "modexp-4-13-2-s2-cli-ac": "61799dc24755876ae9e6edb71c61c1ef3c8e54d092e98a08482ea3d414d62ea2",
+    "modexp-4-13-2-s2-cli-ntc": "25a0204e34c9f216016f210f3ad37d727383dfd3840ddc44bca5723b8f151be3",
 }
 
 BUILT_ONLY = {
@@ -118,3 +128,25 @@ def test_builds_repeat_exactly(adder, s):
     build_modexp(ModexpSpec(n=4, modulus=11, base=2, s=s, adder=adder))
     build_modmul_const(4, 5, 11, controlled=1, adder=adder)
     assert build_modexp(spec) == first
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_cli_bytes_are_pinned(s, tmp_path, capsys):
+    name = f"modexp-4-13-2-s{s}"
+    built, routed = tmp_path / "built.json", tmp_path / "routed.json"
+    steps = {
+        "build": ["build", "--kind", "modexp", "--n", "4", "--modulus", "13",
+                  "--base", "2", "--mult", str(s), "--out", str(built)],
+        "cli-ac": ["estimate", "--circuit", str(built), "--arch", "ac"],
+        "cli-ntc": ["estimate", "--circuit", str(built), "--arch", "ntc",
+                    "--emit-routed", str(routed)],
+    }
+    printed = {}
+    for label, argv in steps.items():
+        assert run(argv) == 0
+        printed[label] = capsys.readouterr().out
+    assert printed.pop("build") == ""
+    for label, text in printed.items():
+        assert _sha256(text) == GOLDEN[f"{name}-{label}"]
+    assert _sha256(built.read_text()) == GOLDEN[name]
+    assert _sha256(routed.read_text()) == GOLDEN[f"{name}-ntc"]

@@ -1,5 +1,6 @@
 import random
 
+from shorcost.architecture import route_linear
 from shorcost.circuit import GATE_ARITY, Circuit, Gate, GateKind
 from shorcost.scheduler import asap_schedule, metrics
 
@@ -106,3 +107,30 @@ def test_concatenation_depths():
     for g in chain1.gates + chain2.gates:
         joined.append(g)
     assert asap_schedule(joined).depth == 5 + 3
+
+
+def test_every_mutator_drops_the_kept_steps():
+    """A circuit keeps its ASAP steps once scheduled or routed; each way of
+    adding gates must drop them, so the next schedule matches a copy that
+    never kept any."""
+    rng = random.Random(11)
+    c, _ = route_linear(_random_circuit(rng, 6, 40))  # routed: steps kept already
+    other = _random_circuit(rng, 6, 10)
+    mutators = [
+        lambda c: c.x(0),
+        lambda c: c.cx(5, 0),
+        lambda c: c.ccx(0, 5, 2),
+        lambda c: c.swap(0, 5),
+        lambda c: c.cv(5, 0),
+        lambda c: c.cvdag(0, 5),
+        lambda c: c.append(Gate(GateKind.CNOT, (0, 5))),
+        lambda c: c.extend([Gate(GateKind.NOT, (5,)), Gate(GateKind.TOFFOLI, (5, 0, 3))]),
+        lambda c: c.invert_span(0, 7),
+        lambda c: c.append_circuit(other),
+    ]
+    for mutate in mutators:
+        metrics(c)
+        mutate(c)
+        fresh = Circuit.from_arrays(c.width, c.registers, *c.as_arrays())
+        assert metrics(c) == metrics(fresh)
+        assert asap_schedule(c) == asap_schedule(fresh)
