@@ -13,7 +13,16 @@ another, TOFFOLI XORs in the AND of two rows and SWAP exchanges two rows.
 Register values move into and out of rows with numpy ``packbits`` /
 ``unpackbits``, 64 bits at a time, so every register width takes the same
 path.  An exhaustive domain is never materialised: each chunk is addressed
-by its mixed-radix index into the registers' value sequences.
+by its mixed-radix index into the registers' value sequences.  Rows exist
+only for the wires in use, up to the highest wire a gate or register
+touches, so declaring a wider circuit costs nothing by itself.
+
+The spec's inputs are built column-wise, ``_BATCH`` at a time: a batch
+copies a zero-filled dict of every register and writes each domain
+register's column into it, then goes through the spec in order.  Only
+one batch of input dicts is alive at once; the spec's answers are kept
+for the whole chunk and compared with the output rows in bulk, falling
+back to value-by-value ``==`` where an answer is not a fitting integer.
 
 ``simulate_mask`` walks one state at a time over a plain int.  It is kept
 as the independent reference the engine is tested against.  Register
@@ -25,9 +34,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import itemgetter, ne, setitem
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -101,9 +111,13 @@ _Program = tuple[list[int], list[int], list[int], list[int]]
 slots, an unused slot holding -1."""
 
 
-def _program(circuit: Circuit) -> _Program:
+def _program(circuit: Circuit) -> tuple[_Program, int]:
+    """The gate columns, and the number of wires in use: one past the
+    highest wire that a gate or a register touches."""
     kinds, ops = circuit.as_arrays()
-    return kinds.tolist(), *ops.T.tolist()
+    ends = [r.offset + r.length for r in circuit.registers]
+    wires = max([int(ops.max(initial=-1)) + 1, *ends])
+    return (kinds.tolist(), *ops.T.tolist()), wires
 
 
 def _non_classical(code: int) -> NonClassicalGateError:
@@ -114,7 +128,8 @@ def _non_classical(code: int) -> NonClassicalGateError:
 
 def simulate_mask(circuit: Circuit, mask: int) -> int:
     """Advance one packed basis state through the circuit."""
-    for kind, a, b, c in zip(*_program(circuit)):
+    program, _ = _program(circuit)
+    for kind, a, b, c in zip(*program):
         if kind == _NOT:
             mask ^= 1 << a
         elif kind == _CNOT:
@@ -145,8 +160,11 @@ def simulate(circuit: Circuit, state: BasisState) -> BasisState:
 _CHUNK = 1 << 16
 """Basis states simulated together: the bit length of every wire row."""
 
+_BATCH = 256
+"""Input dicts alive at once: a chunk's inputs are built and handed to the
+spec this many at a time, so memory stays flat whatever the chunk size."""
+
 _LIMB = 64
-_LIMB_MASK = (1 << _LIMB) - 1
 
 def _run(program: _Program, rows: list[int], ones: int) -> None:
     """Apply the gates to every state of a chunk at once, in place."""
@@ -171,14 +189,20 @@ def _flag_row(flags: Sequence[bool]) -> int:
 
 def _to_rows(values: Sequence[int], length: int) -> list[int]:
     """Bit-slice non-negative ``length``-bit values: row j holds bit j of
-    every value, with value i at bit i.  Wide values go 64-bit limb by limb."""
+    every value, with value i at bit i.  Wide values are laid out as bytes
+    once and sliced 64 bits at a time."""
+    nbytes = (length + 7) // 8
+    if length <= _LIMB:
+        octets = np.asarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    else:
+        raw = b"".join([v.to_bytes(nbytes, "little") for v in values])
+        octets = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
     rows = []
     for lo in range(0, length, _LIMB):
         width = min(_LIMB, length - lo)
-        limb = values if length <= _LIMB else [v >> lo & _LIMB_MASK for v in values]
-        octets = np.array(limb, dtype="<u8").view(np.uint8).reshape(-1, 8)
         bits = np.unpackbits(
-            octets[:, : (width + 7) // 8], axis=1, count=width, bitorder="little"
+            octets[:, lo // 8 : (lo + width + 7) // 8],
+            axis=1, count=width, bitorder="little",
         )
         packed = np.packbits(bits.T, axis=1, bitorder="little")
         rows += [int.from_bytes(p.tobytes(), "little") for p in packed]
@@ -307,13 +331,30 @@ def _mismatch(
         else:
             given, care = repeat(0), _flag_row([name in e for e in expected])
         want = list(map(dict.get, expected, repeat(name), given))
-    bad = 0
-    limit = 1 << reg.length
-    if min(want) < 0 or max(want) >= limit:
-        fits = [0 <= w < limit for w in want]
-        bad = _flag_row([not f for f in fits])
-        want = [w if f else 0 for w, f in zip(want, fits)]
-    return (bad | _diff(got, _to_rows(want, reg.length))) & care
+    values = _fitting(want, reg.length)
+    if values is not None:
+        return _diff(got, _to_rows(values, reg.length)) & care
+    # some value is not a fitting integer: decode the register's value in
+    # every state (a bit-matrix transpose undoes itself) and compare with ==
+    return _flag_row(list(map(ne, _to_rows(got, len(want)), want))) & care
+
+
+def _fitting(want: list, length: int) -> Sequence[int] | None:
+    """``want`` as non-negative ``length``-bit integers, ready for
+    ``_to_rows``, or None where some value is not such an integer."""
+    if length > _LIMB:  # no numpy integer dtype holds these values
+        ints = all(map(isinstance, want, repeat(int)))
+        return want if ints and min(want) >= 0 and max(want) >> length == 0 else None
+    try:
+        arr = np.array(want)
+    except ValueError:  # sequences of unequal lengths
+        return None
+    if arr.ndim != 1 or arr.dtype.kind not in "biu":
+        return None
+    if arr.min() < 0 or int(arr.max()) >> length:
+        return None
+    # a non-negative int64 has the bytes of its uint64
+    return arr.view(np.uint64) if arr.dtype == np.int64 else arr
 
 
 def _diff(a: list[int], b: list[int]) -> int:
@@ -333,23 +374,27 @@ def _check(
     """First counterexample over the chunks, in their order, or None."""
     regs = circuit.registers
     names = [r.name for r in regs]
-    program = _program(circuit)
+    template = dict.fromkeys(names, 0)
+    program, wires = _program(circuit)
     for k, cols in chunks:
         ones = (1 << k) - 1
-        before = [0] * circuit.width
+        before = [0] * wires
         for r in regs:
             if r.name in cols:
                 before[r.offset : r.offset + r.length] = _to_rows(cols[r.name], r.length)
         rows = before.copy()
         _run(program, rows, ones)
 
+        expected = []
+        for lo in range(0, k, _BATCH):
+            n = min(_BATCH, k - lo)
+            batch = list(map(dict.copy, repeat(template, n)))
+            for name, col in cols.items():
+                deque(map(setitem, batch, repeat(name), col[lo : lo + n]), 0)
+            expected += map(dict, map(spec, batch))
+        named = set().union(*expected)
         zeros = [0] * k
         columns = [cols.get(name, zeros) for name in names]
-        states = zip(*columns) if columns else repeat((), k)
-        # one input dict at a time: only the spec's answers are kept
-        inputs = map(dict, map(zip, repeat(names), states))
-        expected = list(map(dict, map(spec, inputs)))
-        named = set().union(*expected)
         bad = 0
         for r, col in zip(regs, columns):
             span = slice(r.offset, r.offset + r.length)
@@ -381,6 +426,11 @@ def exhaustive_check(
     ``spec`` maps input register values to the expected values of the
     registers it cares about; with ``check_untouched`` every other register
     must come back unchanged (which is how ancilla cleanliness is enforced).
+    ``spec`` is called once per input, in product order, each time with a
+    fresh dict holding every register's input value; it may keep or change
+    that dict.  Its answer is copied, and each value is compared with the
+    register's output by ``==``: ``3.0`` and ``True`` agree with 3 and 1,
+    while ``0.5``, ``"3"`` and ``None`` agree with no register value.
     Returns the first counterexample in product order, or None on a clean pass.
     The product is streamed, so memory does not grow with the domain, and
     the check stops at the chunk holding the first counterexample.

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -231,7 +233,7 @@ def _checks(draw):
     reported = draw(some_regs)
     faulty = draw(st.sets(st.integers(0, 4)))
     omit = draw(st.booleans())
-    overflow = draw(st.booleans())
+    fault = draw(st.sampled_from(["flip", "overflow", "fraction", "string", "float"]))
 
     def spec(vals):
         key = sum(vals.values()) % 5
@@ -245,7 +247,13 @@ def _checks(draw):
                 continue
             value = out >> offset & ((1 << length) - 1)
             if key in faulty:
-                value = (1 << length) if overflow else value ^ 1
+                value = {
+                    "flip": lambda v: v ^ 1,
+                    "overflow": lambda v: 1 << length,
+                    "fraction": lambda v: v + 0.5,
+                    "string": str,
+                    "float": float,  # equal under == unless the value rounds
+                }[fault](value)
             want[name] = value
         return want
 
@@ -262,13 +270,17 @@ def _recording(spec):
     return fn, calls
 
 
-@given(_checks(), st.sampled_from([1, 3, 8, oracle._CHUNK]))
+@given(
+    _checks(),
+    st.sampled_from([1, 3, 8, oracle._CHUNK]),
+    st.sampled_from([1, 3, oracle._BATCH]),
+)
 @settings(max_examples=200, deadline=None)
-def test_engine_matches_reference_walker(case, chunk):
+def test_engine_matches_reference_walker(case, chunk, batch):
     c, spec, domain, check_untouched = case
     fn, calls = _recording(spec)
     ref_fn, ref_calls = _recording(spec)
-    with mock.patch.object(oracle, "_CHUNK", chunk):
+    with mock.patch.object(oracle, "_CHUNK", chunk), mock.patch.object(oracle, "_BATCH", batch):
         got = exhaustive_check(c, fn, domain, check_untouched=check_untouched)
         sampled = randomized_check(
             c, spec, domain, trials=5, seed=1, check_untouched=check_untouched
@@ -307,7 +319,7 @@ def test_partial_spec_without_untouched_check():
     assert cx.input_registers == {"a": 1, "b": 0}
 
 
-@pytest.mark.parametrize("bad_value", [4, -1, 1 << 70])
+@pytest.mark.parametrize("bad_value", [4, -1, -4, 1 << 70])
 def test_spec_value_outside_register_is_a_counterexample(bad_value):
     c = Circuit(4, [("a", 0, 2), ("b", 2, 2)])  # identity: b stays 0
 
@@ -316,6 +328,79 @@ def test_spec_value_outside_register_is_a_counterexample(bad_value):
 
     cx = exhaustive_check(c, fn, {"a": range(4)})
     assert cx == Counterexample({"a": 2, "b": 0}, {"b": bad_value}, {"a": 2, "b": 0})
+
+
+@pytest.mark.parametrize(
+    "answer, agrees",
+    [
+        (lambda a: a + 0.4, False),
+        (str, False),
+        (lambda a: None, False),
+        (lambda a: math.nan, False),
+        (float, True),
+        (lambda a: True if a == 1 else a, True),
+        (lambda a: [a], False),
+        (lambda a: [0] * a, False),
+    ],
+    ids=["fraction", "string", "none", "nan", "float", "bool", "list", "ragged"],
+)
+def test_non_integer_spec_values_compare_with_eq(answer, agrees):
+    """A spec value agrees with a register exactly when the reference's
+    ``==`` says so: nothing is truncated, parsed or refused."""
+    c = Circuit(2, [("a", 0, 1), ("b", 1, 1)]).cx(0, 1)  # b <- a
+
+    def fn(vals):
+        return {"b": answer(vals["a"])}
+
+    domain = {"a": range(2)}
+    cx = exhaustive_check(c, fn, domain)
+    assert cx == _reference_check(c, fn, domain)
+    assert (cx is None) == agrees
+    assert (randomized_check(c, fn, domain, trials=8, seed=0) is None) == agrees
+
+
+def test_misbehaving_specs_see_fresh_inputs_and_keep_their_answers():
+    """A spec that writes into its input, or hands back one shared dict, gets
+    the same verdict as a well-behaved one, and each call gets its own dict."""
+    c = Circuit(4, [("a", 0, 2), ("b", 2, 2)]).cx(0, 2).cx(1, 3)  # b ^= a
+    domain = {"a": range(4), "b": range(4)}
+
+    def honest(vals):
+        return {"b": vals["a"] ^ vals["b"] ^ (vals["a"] == 3 and vals["b"] == 2)}
+
+    seen = []
+
+    def writer(vals):
+        seen.append(vals)
+        out = honest(vals)
+        vals["a"] = 99
+        return out
+
+    shared = {}
+
+    def reuser(vals):
+        seen.append(vals)
+        shared.clear()
+        shared.update(honest(vals))
+        return shared
+
+    with mock.patch.object(oracle, "_BATCH", 3):
+        want = exhaustive_check(c, honest, domain)
+        assert want.input_registers == {"a": 3, "b": 2}
+        assert exhaustive_check(c, writer, domain) == want
+        assert exhaustive_check(c, reuser, domain) == _reference_check(c, reuser, domain)
+    assert len(set(map(id, seen))) == len(seen)
+
+
+def test_rows_are_sized_by_the_wires_in_use():
+    c = Circuit(1 << 22, [("a", 0, 1), ("b", 1, 1)]).cx(0, 1)
+    tracemalloc.start()
+    try:
+        assert exhaustive_check(c, _xor_spec(c), {"a": range(2), "b": range(2)}) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def _copy_circuit():
