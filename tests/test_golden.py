@@ -11,7 +11,10 @@ serializer still emit the same bytes.
 the modular adder: constant modadd and modmul, modexp with the VBE and
 conditional-sum adders, and the multiply tree.  Those hashes were
 recorded from builders that emitted every adder pass gate by gate, before
-each lane recorded its passes once and replayed them.
+each lane recorded its passes once and replayed them.  The two-lane
+pipeline's other adders and its other result-block positions (n=5 and
+n=6) were pinned later, so a rewrite of the pipeline builder has to keep
+every shape of it.
 
 The ``-cli-`` entries pin what the command line prints for ``build`` →
 ``estimate --arch ac`` → ``estimate --arch ntc --emit-routed`` on the two
@@ -70,6 +73,10 @@ GOLDEN = {
     "modexp-4-13-2-s1-vbe": "0041a21ea336d2408774aa242cb01777738df346a0ff1e12ad115a9d5baec781",
     "modexp-4-13-2-s1-condsum": "3dd66daa47e80706d3ccb3af0b2d45ce794e05e5afd25bc6ad8ec13b38c8914c",
     "modexp-8-221-5-s4": "a5927df79c7a5388ad89c48e9f0f4cb0f7750f05e498993109c301d5f4691be0",
+    "modexp-5-29-2-s2": "9103f9fe95a1a508fe833d77481d1ff4a04eec1bcfd0ee38ee6dfa577acce4eb",
+    "modexp-6-53-2-s2": "a43efe1b811520a865e93feae3ec8af28f1fd7e8e25cc798636c4df26b593a69",
+    "modexp-4-13-2-s2-vbe": "64c297924b14ae8d915701c0eb08cd8a07281db0a3c1850bb7ae7b20397956dd",
+    "modexp-4-13-2-s2-condsum": "a42737318943224ef33ad976288b2b91a29964ed1bac6e406207db58b9238976",
     "modexp-4-13-2-s1-cli-ac": "296d926848f92fef84dc37c33993fe1c2ffdf210735e32f85d0654a6a6b7371c",
     "modexp-4-13-2-s1-cli-ntc": "fb6af1c5b36fa1774aaed3146521f5abfc3ebb7decbe2b808173df65a0b7bf93",
     "modexp-4-13-2-s2-cli-ac": "61799dc24755876ae9e6edb71c61c1ef3c8e54d092e98a08482ea3d414d62ea2",
@@ -83,9 +90,16 @@ BUILT_ONLY = {
     },
     **{f"modmul-4-5-13-c{ctl}": (build_modmul_const, 4, 5, 13, ctl) for ctl in (0, 1)},
     **{
-        f"modexp-4-13-2-s1-{k.value}": (build_modexp, ModexpSpec(n=4, modulus=13, base=2, adder=k))
+        f"modexp-4-13-2-s{s}-{k.value}": (
+            build_modexp, ModexpSpec(n=4, modulus=13, base=2, s=s, adder=k)
+        )
+        for s in (1, 2)
         for k in (AdderKind.VBE_RIPPLE, AdderKind.CONDITIONAL_SUM)
     },
+    # the pipeline's result block is the one at index (2n) % 3: 1 at n=5,
+    # 0 at n=6 (and 2 at n=4, pinned in BUILDS)
+    "modexp-5-29-2-s2": (build_modexp, ModexpSpec(n=5, modulus=29, base=2, s=2)),
+    "modexp-6-53-2-s2": (build_modexp, ModexpSpec(n=6, modulus=53, base=2, s=2)),
     "modexp-8-221-5-s4": (build_modexp, ModexpSpec(n=8, modulus=221, base=5, s=4)),
 }
 
