@@ -5,8 +5,9 @@ sweep every one of the 256 exponents through the basis-state simulator,
 which is the whole point: the resource numbers printed at the end belong
 to a circuit whose semantics were just checked, not assumed.
 
-The ``s`` knob trades qubits for depth by running that many multiplier
-lanes at once; s=1 is the fully serial layout.
+The ``s`` knob trades qubits for depth: s=1 is the fully serial layout,
+and s=2 runs a forward and a clear multiplier lane at once, so each
+exponent bit costs one multiply instead of a multiply and an unmultiply.
 """
 
 from shorcost import ModexpSpec, build_modexp, contract, exhaustive_check, metrics

@@ -13,7 +13,9 @@ against plain integer arithmetic by the oracle tests.  The stack is:
   a register swap, and an inverse multiply by the modular inverse that
   clears the scratch product;
 * modular exponentiation ``r = base^e mod modulus`` over a 2n-bit exponent,
-  with ``s`` concurrent multiplier lanes (see ``build_modexp``).
+  either serial (one controlled multiply per exponent bit) or as a
+  two-lane pipeline that overlaps each multiply with the clearing of the
+  previous value (see ``build_modexp``).
 
 All builders restore every ancilla register to its input value on the
 stated domain (ancillae in, ancillae out; tests sweep this exhaustively
@@ -572,7 +574,8 @@ def build_modmul_const(
 class ModexpSpec:
     """Parameters for r = base^e mod modulus over a 2n-bit exponent.
 
-    ``s`` is the number of concurrent multiplier lanes, 1 <= s <= n/2.
+    ``s`` selects the layout: 1 is the serial builder, 2 the two-lane
+    pipeline (which needs n >= 4).
     """
 
     n: int
@@ -591,8 +594,12 @@ class ModexpSpec:
             raise CircuitError(
                 f"base {self.base} shares a factor with modulus {self.modulus}"
             )
-        if not (1 <= self.s and 2 * self.s <= self.n):
-            raise CircuitError(f"s={self.s} outside 1 <= s <= n/2 for n={self.n}")
+        if self.s not in (1, 2):
+            raise CircuitError(
+                f"s={self.s} must be 1 (serial) or 2 (two-lane pipeline)"
+            )
+        if 2 * self.s > self.n:
+            raise CircuitError(f"s={self.s} needs n >= {2 * self.s}, got n={self.n}")
 
     @property
     def exponent_bits(self) -> int:
@@ -616,20 +623,8 @@ def _modexp_serial(spec: ModexpSpec) -> Circuit:
     return circ
 
 
-@dataclass
-class _PipelineGroup:
-    bits: list[int]
-    blocks: list[list[int]]
-    fwd: _ModAddLane
-    clr: _ModAddLane
-
-    @property
-    def result_block(self) -> list[int]:
-        return self.blocks[len(self.bits) % 3]
-
-
-def _emit_pipeline(circ: Circuit, spec: ModexpSpec, grp: _PipelineGroup) -> None:
-    """Two-lane multiply pipeline over one contiguous run of exponent bits.
+def _modexp_pipelined(spec: ModexpSpec) -> Circuit:
+    """Two-lane multiply pipeline over the 2n exponent bits.
 
     Per exponent bit the value hops to the next of three rotating blocks:
     a forward lane accumulates ``selected_const * value`` into the empty
@@ -637,124 +632,37 @@ def _emit_pipeline(circ: Circuit, spec: ModexpSpec, grp: _PipelineGroup) -> None
     inverse constant times the freshly written value.  The two lanes touch
     disjoint scratch, so consecutive steps overlap under ASAP scheduling
     and the steady-state cost per exponent bit is one multiply instead of
-    the serial form's multiply-plus-unmultiply.
+    the serial form's multiply-plus-unmultiply.  After 2n hops the value
+    sits in block (2n) % 3, which is the one named ``r``.
     """
     n, N, x = spec.n, spec.modulus, spec.base
-    e = circ.register("e")
-    circ.x(grp.blocks[0][0])
-    for t, i in enumerate(grp.bits):
-        src = grp.blocks[t % 3]
-        tgt = grp.blocks[(t + 1) % 3]
-        ci = pow(x, 1 << i, N)
-        cinv = pow(ci, -1, N)
-        ei = e.offset + i
-        for j in range(n):
-            _emit_modadd_selected(
-                circ, grp.fwd, tgt,
-                const0=(1 << j) % N,
-                const1=(ci << j) % N,
-                sel=ei, gate_ctl=src[j], modulus=N,
-            )
-        for j in range(n):
-            _emit_modadd_selected(
-                circ, grp.clr, src,
-                const0=(N - ((1 << j) % N)) % N,
-                const1=(N - ((cinv << j) % N)) % N,
-                sel=ei, gate_ctl=tgt[j], modulus=N,
-            )
-
-
-def _emit_macc(
-    circ: Circuit,
-    lane: _ModAddLane,
-    act: int,
-    ya: list[int],
-    yb: list[int],
-    target: list[int],
-    modulus: int,
-) -> None:
-    """target += ya * yb mod modulus via bit-pair gated constant adds."""
-    n = len(ya)
-    for j in range(n):
-        for kk in range(n):
-            circ.ccx(ya[j], yb[kk], act)
-            _emit_modadd(
-                circ, lane, target, (1 << (j + kk)) % modulus, modulus, active=act
-            )
-            circ.ccx(ya[j], yb[kk], act)
-
-
-def _modexp_parallel(spec: ModexpSpec) -> Circuit:
-    """Pipelined lanes; several groups are merged by a multiply tree.
-
-    With one group (s of 2 or 3) the pipeline's final block simply is the
-    result register.  With more lanes the exponent splits into contiguous
-    chunks, each chunk runs its own pipeline, partial products are folded
-    pairwise by out-of-place multiply-accumulates, the root is copied into
-    ``r``, and the whole forward pass is run in reverse to clear every
-    partial.
-    """
-    n, N = spec.n, spec.modulus
-    groups_n = max(1, spec.s // 2)
-    chunk, extra = divmod(2 * n, groups_n)
     lay = _Layout()
     e = lay.block("e", 2 * n)
-
-    groups: list[_PipelineGroup] = []
-    start = 0
-    single = groups_n == 1
-    for g in range(groups_n):
-        size = chunk + (1 if g < extra else 0)
-        bits = list(range(start, start + size))
-        start += size
-        prefix = "" if single else f"g{g}_"
-        result_idx = len(bits) % 3
-        blocks = []
-        for bi in range(3):
-            if single and bi == result_idx:
-                blocks.append(lay.block("r", n))
-            else:
-                blocks.append(lay.block(f"{prefix}work{bi}", n))
-        groups.append(
-            _PipelineGroup(
-                bits=bits,
-                blocks=blocks,
-                fwd=_alloc_lane(lay, spec.adder, n, prefix + "fwd_"),
-                clr=_alloc_lane(lay, spec.adder, n, prefix + "clr_"),
-            )
-        )
-
-    if single:
-        circ = lay.circuit()
-        _emit_pipeline(circ, spec, groups[0])
-        return circ
-
-    tree_blocks = [lay.block(f"mul{t}", n) for t in range(groups_n - 1)]
-    mac_lane = _alloc_lane(lay, spec.adder, n, "mac_")
-    mac_act = lay.qubit("mac_act")
-    r = lay.block("r", n)
+    blocks = [lay.block("r" if b == (2 * n) % 3 else f"work{b}", n) for b in range(3)]
+    fwd = _alloc_lane(lay, spec.adder, n, "fwd_")
+    clr = _alloc_lane(lay, spec.adder, n, "clr_")
     circ = lay.circuit()
 
-    forward_start = len(circ)
-    for grp in groups:
-        _emit_pipeline(circ, spec, grp)
-    level = [grp.result_block for grp in groups]
-    next_tree = 0
-    while len(level) > 1:
-        merged = []
-        for i in range(0, len(level) - 1, 2):
-            t = tree_blocks[next_tree]
-            next_tree += 1
-            _emit_macc(circ, mac_lane, mac_act, level[i], level[i + 1], t, N)
-            merged.append(t)
-        if len(level) % 2:
-            merged.append(level[-1])
-        level = merged
-    forward_end = len(circ)
-
-    for j in range(n):
-        circ.cx(level[0][j], r[j])
-    circ.invert_span(forward_start, forward_end)
+    circ.x(blocks[0][0])
+    for i in range(2 * n):
+        src = blocks[i % 3]
+        tgt = blocks[(i + 1) % 3]
+        ci = pow(x, 1 << i, N)
+        cinv = pow(ci, -1, N)
+        for j in range(n):
+            _emit_modadd_selected(
+                circ, fwd, tgt,
+                const0=(1 << j) % N,
+                const1=(ci << j) % N,
+                sel=e[i], gate_ctl=src[j], modulus=N,
+            )
+        for j in range(n):
+            _emit_modadd_selected(
+                circ, clr, src,
+                const0=(N - ((1 << j) % N)) % N,
+                const1=(N - ((cinv << j) % N)) % N,
+                sel=e[i], gate_ctl=tgt[j], modulus=N,
+            )
     return circ
 
 
@@ -763,9 +671,9 @@ def build_modexp(spec: ModexpSpec) -> Circuit:
 
     The builder seeds the working value to 1 with a NOT; the ``r`` register
     named in the result carries base^e and every other non-exponent register
-    returns to zero.  ``s`` >= 2 enables the two-lane pipeline; ``s`` >= 4
-    splits the exponent across s//2 pipelines joined by a multiply tree.
+    returns to zero.  ``s`` = 1 builds one controlled multiply per exponent
+    bit; ``s`` = 2 builds the two-lane pipeline.
     """
     if spec.s == 1:
         return _modexp_serial(spec)
-    return _modexp_parallel(spec)
+    return _modexp_pipelined(spec)

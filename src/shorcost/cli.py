@@ -284,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int,
                    help="exponentiation base; doubles as the added/multiplied constant")
     p.add_argument("--mult", type=int, default=1,
-                   help="concurrent multiplier lanes s for modexp")
+                   help="modexp layout: 1 = serial, 2 = two-lane pipeline")
     p.add_argument("--out", required=True, help="output circuit JSON path")
     p.set_defaults(func=_cmd_build)
 

@@ -165,14 +165,6 @@ def test_modexp_n8_all_exponents():
     assert check(c, "modexp", 221, 5) is None
 
 
-def test_modexp_grouped_lanes_randomized():
-    """s >= 4 splits the exponent into pipelined groups joined by a
-    multiply tree; checked against integer square-and-multiply."""
-    c = build_modexp(ModexpSpec(n=8, modulus=247, base=2, s=4))
-    domain, fn = contract("modexp", c, 247, 2)
-    assert randomized_check(c, fn, domain, trials=300, seed=17) is None
-
-
 def test_modexp_s2_is_strictly_shallower():
     base = dict(n=4, modulus=15, base=7)
     d1 = metrics(build_modexp(ModexpSpec(s=1, **base))).depth
@@ -183,9 +175,9 @@ def test_modexp_s2_is_strictly_shallower():
 def test_modexp_width_grows_with_s():
     w = {
         s: build_modexp(ModexpSpec(n=8, modulus=247, base=2, s=s)).width
-        for s in (1, 2, 4)
+        for s in (1, 2)
     }
-    assert w[1] < w[2] < w[4]
+    assert w[1] < w[2]
 
 
 def test_modexp_spec_validation():
@@ -195,8 +187,11 @@ def test_modexp_spec_validation():
         ModexpSpec(n=4, modulus=15, base=5)  # shared factor
     with pytest.raises(CircuitError):
         ModexpSpec(n=4, modulus=15, base=1)  # base too small
-    with pytest.raises(CircuitError):
-        ModexpSpec(n=4, modulus=15, base=7, s=3)  # s > n/2
+    with pytest.raises(CircuitError, match="n >= 4"):
+        ModexpSpec(n=3, modulus=7, base=3, s=2)  # the pipeline needs n >= 4
+    for s in (0, 3, 4, 8):
+        with pytest.raises(CircuitError, match=r"must be 1 \(serial\) or 2 "):
+            ModexpSpec(n=8, modulus=221, base=5, s=s)
     with pytest.raises(CircuitError):
         ModexpSpec(n=4, modulus=17, base=3)  # modulus needs 5 bits
     assert ModexpSpec(n=4, modulus=15, base=7, s=2).exponent_bits == 8

@@ -135,8 +135,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                 "--wall", "1mo"]) == 2
     assert run(["build", "--kind", "modexp", "--n", "4", "--modulus", "15",
                 "--base", "7", "--mult", "3",
-                "--out", str(tmp_path / "y.json")]) == 2  # s > n/2
+                "--out", str(tmp_path / "y.json")]) == 2  # s is 1 or 2
+    assert run(["build", "--kind", "modexp", "--n", "3", "--modulus", "7",
+                "--base", "3", "--mult", "2",
+                "--out", str(tmp_path / "y.json")]) == 2  # the pipeline needs n >= 4
     capsys.readouterr()
+    assert run(["build", "--kind", "modexp", "--n", "8", "--modulus", "221",
+                "--base", "5", "--mult", "4",
+                "--out", str(tmp_path / "z.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be 1 (serial) or 2 (two-lane pipeline)" in captured.err
+    assert not (tmp_path / "z.json").exists()
 
 
 def test_verify_contract_mismatch_exits_2(tmp_path, capsys):

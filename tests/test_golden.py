@@ -9,7 +9,7 @@ serializer still emit the same bytes.
 
 ``BUILT_ONLY`` pins the built bytes of the other builders that go through
 the modular adder: constant modadd and modmul, modexp with the VBE and
-conditional-sum adders, and the multiply tree.  Those hashes were
+conditional-sum adders.  Those hashes were
 recorded from builders that emitted every adder pass gate by gate, before
 each lane recorded its passes once and replayed them.  The two-lane
 pipeline's other adders and its other result-block positions (n=5 and
@@ -72,7 +72,6 @@ GOLDEN = {
     "modmul-4-5-13-c1": "5835beea454eec15359b582f222c775792a753ddb12d8e49883ab099578dfed9",
     "modexp-4-13-2-s1-vbe": "0041a21ea336d2408774aa242cb01777738df346a0ff1e12ad115a9d5baec781",
     "modexp-4-13-2-s1-condsum": "3dd66daa47e80706d3ccb3af0b2d45ce794e05e5afd25bc6ad8ec13b38c8914c",
-    "modexp-8-221-5-s4": "a5927df79c7a5388ad89c48e9f0f4cb0f7750f05e498993109c301d5f4691be0",
     "modexp-5-29-2-s2": "9103f9fe95a1a508fe833d77481d1ff4a04eec1bcfd0ee38ee6dfa577acce4eb",
     "modexp-6-53-2-s2": "a43efe1b811520a865e93feae3ec8af28f1fd7e8e25cc798636c4df26b593a69",
     "modexp-4-13-2-s2-vbe": "64c297924b14ae8d915701c0eb08cd8a07281db0a3c1850bb7ae7b20397956dd",
@@ -100,7 +99,6 @@ BUILT_ONLY = {
     # 0 at n=6 (and 2 at n=4, pinned in BUILDS)
     "modexp-5-29-2-s2": (build_modexp, ModexpSpec(n=5, modulus=29, base=2, s=2)),
     "modexp-6-53-2-s2": (build_modexp, ModexpSpec(n=6, modulus=53, base=2, s=2)),
-    "modexp-8-221-5-s4": (build_modexp, ModexpSpec(n=8, modulus=221, base=5, s=4)),
 }
 
 BUILDS = {
