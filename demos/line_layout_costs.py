@@ -4,7 +4,8 @@ Takes the verified 4-bit modular-exponentiation circuit, expands each
 Toffoli into two-qubit gates, routes the result onto a line where only
 neighbors may interact, and compares depth before and after.  Then
 anchors the analytic curves: the measured-to-model depth ratio for the
-ripple adder construction at a couple of widths.
+serial ripple construction against BCDP, the serial curve, at a couple
+of widths.
 """
 
 from shorcost import (
@@ -35,7 +36,7 @@ def main() -> None:
     print(f"  slowdown     : {lined.depth / flat.depth:.1f}x")
     print()
 
-    print("measured depth vs analytic curve (ripple construction):")
+    print("measured depth vs the BCDP curve (serial ripple construction):")
     for n, modulus in ((4, 15), (8, 247)):
         record = empirical_bridge(
             ModexpSpec(n=n, modulus=modulus, base=7, adder=AdderKind.CDKM_RIPPLE)

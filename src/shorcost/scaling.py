@@ -287,15 +287,15 @@ class BridgeRecord:
     ratio: float
 
 
-# Which analytic curve each adder family is the small-n stand-in for:
-# ripple-with-carry-register matches the serial baseline, the one-ancilla
-# ripple matches the concurrent-ripple curve, and the log-depth adder
-# matches the log-latency curve.
-_BRIDGE_MODEL = {
-    AdderKind.VBE_RIPPLE: BCDP,
-    AdderKind.CDKM_RIPPLE: ALG_F,
-    AdderKind.CONDITIONAL_SUM: ALG_D,
-}
+# Which analytic curve a built circuit is the small-n stand-in for is set
+# by its concurrency first.  Serial modexp (s=1) runs one multiplier, as
+# BCDP assumes, whatever its adder.  D and F assume concurrent multipliers,
+# so only the two-lane pipeline (s=2) goes against them: the log-depth
+# adder against D's log-latency curve, the ripple adders against F.
+def _bridge_model(spec: ModexpSpec) -> QuantumModel:
+    if spec.s == 1:
+        return BCDP
+    return ALG_D if spec.adder is AdderKind.CONDITIONAL_SUM else ALG_F
 
 
 def empirical_bridge(spec: ModexpSpec, arch: ArchModel = AC) -> BridgeRecord:
@@ -310,8 +310,7 @@ def empirical_bridge(spec: ModexpSpec, arch: ArchModel = AC) -> BridgeRecord:
     if arch.adjacency_required and arch.max_arity == 2:
         circuit, _ = route_linear(decompose_toffoli(circuit))
     measured = metrics(circuit).depth
-    model = _BRIDGE_MODEL[spec.adder]
-    model_depth = model.depth(spec.n)
+    model_depth = _bridge_model(spec).depth(spec.n)
     return BridgeRecord(
         measured_depth=measured,
         model_depth=model_depth,

@@ -186,15 +186,25 @@ def test_quantum_series_are_straight_in_log_log():
 def test_bridge_records_measured_and_model_depth():
     rec = empirical_bridge(ModexpSpec(n=4, modulus=15, base=7, s=1), AC)
     assert rec.measured_depth == 8995
-    assert rec.model_depth == ALG_F.depth(4)
+    assert rec.model_depth == BCDP.depth(4)
     assert rec.ratio == rec.measured_depth / rec.model_depth
+
+
+@pytest.mark.parametrize("adder", list(AdderKind))
+def test_bridge_curve_follows_concurrency(adder):
+    """Serial modexp goes against BCDP whatever its adder; the two-lane
+    pipeline goes against D with the log-depth adder and F otherwise."""
+    base = dict(n=4, modulus=15, base=7, adder=adder)
+    assert empirical_bridge(ModexpSpec(s=1, **base), AC).model_depth == BCDP.depth(4)
+    concurrent = ALG_D if adder is AdderKind.CONDITIONAL_SUM else ALG_F
+    assert empirical_bridge(ModexpSpec(s=2, **base), AC).model_depth == concurrent.depth(4)
 
 
 def test_bridge_ntc_fixture_n8():
     """Routed depth ratio at n=8; recorded at first verified build."""
     rec = empirical_bridge(ModexpSpec(n=8, modulus=247, base=2, s=1), NTC)
     assert rec.measured_depth == 245154
-    assert rec.ratio == pytest.approx(63.8421875)
+    assert rec.ratio == pytest.approx(245154 / BCDP.depth(8))
 
 
 def test_bridge_s2_is_shallower_on_ac():
