@@ -57,11 +57,12 @@ def _asap_steps(circuit: Circuit) -> np.ndarray:
 def _walk_steps(circuit: Circuit) -> array:
     """``ready[q]`` is the first step at which wire q is free; a gate lands
     at the max over its operands and pushes all of them one step past
-    itself."""
-    ready = [0] * circuit.width
+    itself.  ``ready`` stops at the highest wire a gate touches, so a
+    large declared width costs nothing by itself."""
+    _, ops = circuit.as_arrays()
+    ready = [0] * (int(ops.max(initial=-1)) + 1)
     steps = array("i")
     place = steps.append
-    _, ops = circuit.as_arrays()
     # an unused operand slot holds -1
     for a, b, c in zip(*ops.T.tolist()):
         t = ready[a]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 from shorcost.architecture import route_linear
 from shorcost.circuit import GATE_ARITY, Circuit, Gate, GateKind
@@ -35,6 +36,18 @@ def test_empty_circuit():
     assert sched.timesteps == ()
     m = metrics(Circuit(2))
     assert m.depth == 0 and m.total_gates == 0 and m.mean_concurrency == 0.0
+
+
+def test_per_wire_state_is_sized_by_the_wires_in_use():
+    c = Circuit(1 << 22).cx(0, 1)
+    tracemalloc.start()
+    try:
+        m = metrics(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.depth, m.total_gates, m.width) == (1, 1, 1 << 22)
+    assert peak < 4 << 20
 
 
 def test_metrics_fields():
