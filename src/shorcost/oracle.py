@@ -450,24 +450,27 @@ def randomized_check(
 ) -> Counterexample | None:
     """Seeded uniform sampling of each register's value sequence.
 
-    Deterministic for a given seed; ``trials=0`` passes vacuously.
+    Deterministic for a given seed; ``trials=0`` passes vacuously.  The
+    domain is validated up front, as in ``exhaustive_check``, so a value
+    that does not fit its register is refused even if no trial would draw
+    it.  Trials are drawn one chunk at a time, so memory does not grow
+    with ``trials``.
     """
     if trials < 0:
         raise CircuitError("trials must be non-negative")
+    _validate_domain(circuit, domain)
     rng = random.Random(seed)
     spaces = [(name, space, _size(space)) for name, space in domain.items()]
     if trials and not all(size for _, _, size in spaces):
         raise CircuitError("cannot sample from an empty value sequence")
-    cols: dict[str, list[int]] = {name: [] for name in domain}
-    for _ in range(trials):
-        for name, space, size in spaces:
-            cols[name].append(space[rng.randrange(size)])
-    _validate_domain(circuit, cols)
-    chunks = (
-        (
-            min(_CHUNK, trials - start),
-            {name: col[start : start + _CHUNK] for name, col in cols.items()},
-        )
-        for start in range(0, trials, _CHUNK)
-    )
-    return _check(circuit, spec, chunks, check_untouched)
+
+    def chunks() -> Iterator[_Chunk]:
+        for start in range(0, trials, _CHUNK):
+            k = min(_CHUNK, trials - start)
+            cols: dict[str, list[int]] = {name: [] for name in domain}
+            for _ in range(k):
+                for name, space, size in spaces:
+                    cols[name].append(space[rng.randrange(size)])
+            yield k, cols
+
+    return _check(circuit, spec, chunks(), check_untouched)

@@ -463,6 +463,28 @@ def test_out_of_range_domain_rejected_before_simulation():
         exhaustive_check(c, _xor_spec(c), {"a": range(1 << 40), "b": range(2)})
     with pytest.raises(CircuitError, match="does not fit register b"):
         exhaustive_check(c, _xor_spec(c), {"a": [0], "b": [1, -1]})
+    # the sampler follows the same rule, whatever its trials would draw
+    for trials in (0, 1, 100):
+        with pytest.raises(CircuitError, match="does not fit register a"):
+            randomized_check(
+                c, _xor_spec(c), {"a": range(1 << 40), "b": range(2)}, trials=trials, seed=0
+            )
+        with pytest.raises(CircuitError, match="does not fit register b"):
+            randomized_check(c, _xor_spec(c), {"a": [0], "b": [1, -1]}, trials=trials, seed=0)
+
+
+def test_randomized_memory_does_not_grow_with_trials():
+    c = Circuit(4, [("a", 0, 2), ("b", 2, 2)]).cx(0, 2).cx(1, 3)
+    domain = {"a": range(4), "b": range(4)}
+    peaks = []
+    for trials in (1 << 16, 1 << 18):
+        tracemalloc.start()
+        try:
+            assert randomized_check(c, _xor_spec(c), domain, trials=trials, seed=1) is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20
 
 
 def test_randomized_draws_the_same_stream_as_choice():
