@@ -598,8 +598,8 @@ class ModexpSpec:
             raise CircuitError(
                 f"s={self.s} must be 1 (serial) or 2 (two-lane pipeline)"
             )
-        if 2 * self.s > self.n:
-            raise CircuitError(f"s={self.s} needs n >= {2 * self.s}, got n={self.n}")
+        if self.s == 2 and self.n < 4:
+            raise CircuitError(f"s=2 needs n >= 4, got n={self.n}")
 
     @property
     def exponent_bits(self) -> int:
