@@ -32,13 +32,11 @@ from .arithmetic import (
 from .circuit import Circuit, CircuitError, Gate, GateKind, Register
 from .contracts import contract
 from .oracle import (
-    BasisState,
     Counterexample,
     NonClassicalGateError,
     domain_size,
     exhaustive_check,
     randomized_check,
-    simulate,
 )
 from .scaling import (
     ALG_D,
@@ -70,7 +68,6 @@ __all__ = [
     "AdderKind",
     "ArchModel",
     "BCDP",
-    "BasisState",
     "BridgeRecord",
     "Circuit",
     "CircuitError",
@@ -111,7 +108,6 @@ __all__ = [
     "required_clock",
     "route_linear",
     "series",
-    "simulate",
     "speedup",
     "verify_toffoli_identity",
 ]

@@ -8,7 +8,10 @@ against plain integer arithmetic by the oracle tests.  The stack is:
   (CDKM_RIPPLE), and a carry-select tree adder with logarithmic depth
   (CONDITIONAL_SUM);
 * modular addition of a classical constant by the compare / add /
-  conditionally-subtract / fixup pattern, with 0, 1 or 2 controls;
+  conditionally-subtract / fixup pattern, with 0, 1 or 2 controls.  One
+  emitter, ``_emit_modadd``, writes it for every builder; its ``select``
+  lets a second qubit choose between two constants, which is how the
+  pipelined modexp picks ``1`` or ``base^(2^i)`` per exponent bit;
 * modular multiplication by a classical constant via shift-and-add,
   a register swap, and an inverse multiply by the modular inverse that
   clears the scratch product;
@@ -27,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .circuit import Circuit, CircuitError, Register
 
@@ -348,30 +350,48 @@ def _alloc_lane(lay: _Layout, kind: AdderKind, n: int, prefix: str = "") -> _Mod
     )
 
 
-def _modadd_core(
+def _emit_modadd(
     c: Circuit,
     lane: _ModAddLane,
     target: list[int],
+    addend: int,
     modulus: int,
-    load_addend: Callable[[], None],
-    load_modulus: Callable[[], None],
-    fix_ctl: int | None,
+    active: int | None = None,
+    select: tuple[int, int] | None = None,
 ) -> None:
-    """target <- (target + addend) mod modulus, addend delivered by loads.
+    """target <- (target + addend) mod modulus, optionally gated on ``active``.
 
     The working value spans ``target`` plus the ``hi`` extension bit.  Add
     the addend, subtract the modulus (borrow -> flag), re-add the modulus
     under the flag, then compare against the addend to restore the flag.
-    When the loads are control-gated everything degrades to the identity,
-    because adding zero is the identity and the flag fixup is gated too.
+    Constants reach the adder through ``k``, loaded under ``active``; with
+    ``active`` off every load is empty and the flag fix-up is gated too, so
+    the whole add is the identity.  ``select=(sel, other)`` (which needs
+    ``active``) loads ``other`` in place of ``addend`` where ``sel`` is set,
+    so one guard qubit still gates the whole add.
     """
     add, sub = lane.adder_passes(c.width, target)
+
+    def load(value: int) -> None:
+        for bit in _setbits(value):
+            if active is None:
+                c.x(lane.k[bit])
+            else:
+                c.cx(active, lane.k[bit])
+
+    def load_addend() -> None:  # self-inverse, so it also unloads
+        load(addend)
+        if select is not None:
+            sel, other = select
+            for bit in _setbits(addend ^ other):
+                c.ccx(sel, active, lane.k[bit])
+
     load_addend()
     c.append_circuit(add)
-    load_addend()  # unload (self-inverse loads)
-    load_modulus()
+    load_addend()
+    load(modulus)
     c.append_circuit(sub)
-    load_modulus()
+    load(modulus)
     c.cx(lane.cout, lane.flag)
     for bit in _setbits(modulus):
         c.cx(lane.flag, lane.k[bit])
@@ -381,64 +401,13 @@ def _modadd_core(
     load_addend()
     c.append_circuit(sub)
     c.x(lane.cout)
-    if fix_ctl is None:
+    if active is None:
         c.cx(lane.cout, lane.flag)
     else:
-        c.ccx(fix_ctl, lane.cout, lane.flag)
+        c.ccx(active, lane.cout, lane.flag)
     c.x(lane.cout)
     c.append_circuit(add)
     load_addend()
-
-
-def _emit_modadd(
-    c: Circuit,
-    lane: _ModAddLane,
-    target: list[int],
-    addend: int,
-    modulus: int,
-    active: int | None = None,
-) -> None:
-    """target <- (target + addend) mod modulus, optionally gated on ``active``."""
-
-    def load(value: int) -> None:
-        for bit in _setbits(value):
-            if active is None:
-                c.x(lane.k[bit])
-            else:
-                c.cx(active, lane.k[bit])
-
-    _modadd_core(
-        c, lane, target, modulus, lambda: load(addend), lambda: load(modulus), active
-    )
-
-
-def _emit_modadd_selected(
-    c: Circuit,
-    lane: _ModAddLane,
-    target: list[int],
-    const0: int,
-    const1: int,
-    sel: int,
-    gate_ctl: int,
-    modulus: int,
-) -> None:
-    """target += (const1 if sel else const0) mod modulus, gated on gate_ctl.
-
-    The selector only redirects which constant is loaded, so the whole
-    modular add still runs under a single guard qubit.
-    """
-
-    def load_addend() -> None:
-        for bit in _setbits(const0):
-            c.cx(gate_ctl, lane.k[bit])
-        for bit in _setbits(const0 ^ const1):
-            c.ccx(sel, gate_ctl, lane.k[bit])
-
-    def load_modulus() -> None:
-        for bit in _setbits(modulus):
-            c.cx(gate_ctl, lane.k[bit])
-
-    _modadd_core(c, lane, target, modulus, load_addend, load_modulus, gate_ctl)
 
 
 def _check_modulus(n: int, modulus: int) -> None:
@@ -650,18 +619,14 @@ def _modexp_pipelined(spec: ModexpSpec) -> Circuit:
         ci = pow(x, 1 << i, N)
         cinv = pow(ci, -1, N)
         for j in range(n):
-            _emit_modadd_selected(
-                circ, fwd, tgt,
-                const0=(1 << j) % N,
-                const1=(ci << j) % N,
-                sel=e[i], gate_ctl=src[j], modulus=N,
+            _emit_modadd(
+                circ, fwd, tgt, (1 << j) % N, N,
+                active=src[j], select=(e[i], (ci << j) % N),
             )
         for j in range(n):
-            _emit_modadd_selected(
-                circ, clr, src,
-                const0=(N - ((1 << j) % N)) % N,
-                const1=(N - ((cinv << j) % N)) % N,
-                sel=e[i], gate_ctl=tgt[j], modulus=N,
+            _emit_modadd(
+                circ, clr, src, (N - ((1 << j) % N)) % N, N,
+                active=tgt[j], select=(e[i], (N - ((cinv << j) % N)) % N),
             )
     return circ
 

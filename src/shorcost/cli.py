@@ -42,6 +42,7 @@ from .oracle import domain_size, exhaustive_check, randomized_check
 from .scaling import (
     MODELS,
     ClassicalModel,
+    QuantumModel,
     crossover_bits,
     required_clock,
     series,
@@ -55,17 +56,11 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_ADDER_KINDS = {
-    "vbe": AdderKind.VBE_RIPPLE,
-    "cdkm": AdderKind.CDKM_RIPPLE,
-    "condsum": AdderKind.CONDITIONAL_SUM,
-}
-
 _WALL_UNITS = {"s": 1.0, "h": 3600.0, "d": 86_400.0, "mo": 2_592_000.0}
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """A bad argument; like every other ``ValueError``, it exits 2."""
 
 
 def _parse_wall(text: str) -> float:
@@ -121,7 +116,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    adder = _ADDER_KINDS[args.adder]
+    adder = AdderKind(args.adder)
     if args.kind == "adder":
         circ = build_adder(adder, args.n)
     elif args.kind == "ctrl-adder":
@@ -212,11 +207,15 @@ def _fmt_sci(value: float | None) -> str:
     return "" if value is None else f"{value:.16e}"
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
+def _model(name: str) -> QuantumModel:
     try:
-        models = [MODELS[name] for name in args.models.split(",") if name]
-    except KeyError as exc:
-        raise _UsageError(f"unknown model {exc.args[0]!r} (choose from bcdp,d,f)") from None
+        return MODELS[name]
+    except KeyError:
+        raise _UsageError(f"unknown model {name!r} (choose from bcdp,d,f)") from None
+
+
+def _cmd_scale(args: argparse.Namespace) -> int:
+    models = [_model(name) for name in args.models.split(",") if name]
     rows = series(
         models,
         _parse_floats(args.clocks),
@@ -238,24 +237,15 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _model_for(args: argparse.Namespace):
-    try:
-        return MODELS[args.model]
-    except KeyError:
-        raise _UsageError(
-            f"unknown model {args.model!r} (choose from bcdp,d,f)"
-        ) from None
-
-
 def _cmd_clock_for(args: argparse.Namespace) -> int:
-    hz = required_clock(_model_for(args), args.bits, _parse_wall(args.wall))
+    hz = required_clock(_model(args.model), args.bits, _parse_wall(args.wall))
     print(f"{hz:.5g} Hz")
     return EXIT_OK
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
     bits = crossover_bits(
-        _model_for(args),
+        _model(args.model),
         args.clock,
         ClassicalModel(compute_factor=args.compute_factor),
     )
@@ -278,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="synthesize a circuit, write JSON")
     p.add_argument("--kind", required=True,
                    choices=["adder", "ctrl-adder", "modadd", "modmul", "modexp"])
-    p.add_argument("--adder", default="cdkm", choices=sorted(_ADDER_KINDS))
+    p.add_argument("--adder", default="cdkm", choices=sorted(k.value for k in AdderKind))
     p.add_argument("--n", type=int, required=True, help="register width in bits")
     p.add_argument("--modulus", type=int, help="modulus for modadd/modmul/modexp")
     p.add_argument("--base", type=int,
@@ -338,10 +328,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"shorcost: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CircuitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"shorcost: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -2,7 +2,10 @@
 
 NOT / CNOT / TOFFOLI / SWAP permute computational basis states, so a
 circuit built from them can be checked against plain integer arithmetic.
-CV and CVDAG leave the basis and are rejected.
+CV and CVDAG leave the basis and are rejected.  A check has one rule:
+every register the spec names must hold the spec's value, and every
+register it leaves out must come back unchanged, which is how ancilla
+cleanliness is enforced.
 
 ``exhaustive_check`` and ``randomized_check`` share one bit-sliced engine
 (Biham, FSE 1997).  It walks its inputs in chunks of ``_CHUNK`` basis
@@ -45,10 +48,8 @@ import numpy as np
 from .circuit import KIND_CODE, Circuit, CircuitError, GateKind, Register
 
 __all__ = [
-    "BasisState",
     "NonClassicalGateError",
     "Counterexample",
-    "simulate",
     "simulate_mask",
     "domain_size",
     "exhaustive_check",
@@ -64,46 +65,6 @@ _KIND_OF_CODE = {code: kind for kind, code in KIND_CODE.items()}
 _NOT, _CNOT, _TOFFOLI, _SWAP = (
     KIND_CODE[k] for k in (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP)
 )
-
-
-@dataclass(frozen=True, slots=True)
-class BasisState:
-    """A computational basis state: one bit per wire, packed in an int."""
-
-    width: int
-    mask: int = 0
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise CircuitError("width must be positive")
-        if not 0 <= self.mask < (1 << self.width):
-            raise CircuitError("mask out of range for width")
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BasisState":
-        mask = 0
-        for i, b in enumerate(bits):
-            if b:
-                mask |= 1 << i
-        return cls(len(bits), mask)
-
-    def to_bits(self) -> list[int]:
-        return [(self.mask >> i) & 1 for i in range(self.width)]
-
-    def bit(self, q: int) -> int:
-        return (self.mask >> q) & 1
-
-    def get(self, reg: Register) -> int:
-        """Little-endian integer value of a register."""
-        return (self.mask >> reg.offset) & ((1 << reg.length) - 1)
-
-    def put(self, reg: Register, value: int) -> "BasisState":
-        if not 0 <= value < (1 << reg.length):
-            raise CircuitError(
-                f"value {value} does not fit register {reg.name}({reg.length})"
-            )
-        lo = ((1 << reg.length) - 1) << reg.offset
-        return BasisState(self.width, (self.mask & ~lo) | (value << reg.offset))
 
 
 _Program = tuple[list[int], list[int], list[int], list[int]]
@@ -144,15 +105,6 @@ def simulate_mask(circuit: Circuit, mask: int) -> int:
         else:
             raise _non_classical(kind)
     return mask
-
-
-def simulate(circuit: Circuit, state: BasisState) -> BasisState:
-    """Map a basis state through the circuit; errors on CV/CVDAG."""
-    if state.width != circuit.width:
-        raise CircuitError(
-            f"state width {state.width} does not match circuit width {circuit.width}"
-        )
-    return BasisState(state.width, simulate_mask(circuit, state.mask))
 
 
 # -- bit-sliced engine -------------------------------------------------
@@ -317,26 +269,21 @@ def _mismatch(
     got: list[int],
     given: Iterable[int],
     expected: list[dict[str, int]],
-    ones: int,
-    check_untouched: bool,
 ) -> int:
     """Row flagging the states where register ``reg`` holds ``got`` but the
-    spec wants something else; ``given`` are the register's input values."""
+    spec wants something else; ``given`` are the register's input values,
+    which it must keep where the spec leaves it out."""
     name = reg.name
     try:
-        want, care = list(map(itemgetter(name), expected)), ones
+        want = list(map(itemgetter(name), expected))
     except KeyError:  # the spec leaves the register out for some inputs
-        if check_untouched:
-            care = ones
-        else:
-            given, care = repeat(0), _flag_row([name in e for e in expected])
         want = list(map(dict.get, expected, repeat(name), given))
     values = _fitting(want, reg.length)
     if values is not None:
-        return _diff(got, _to_rows(values, reg.length)) & care
+        return _diff(got, _to_rows(values, reg.length))
     # some value is not a fitting integer: decode the register's value in
     # every state (a bit-matrix transpose undoes itself) and compare with ==
-    return _flag_row(list(map(ne, _to_rows(got, len(want)), want))) & care
+    return _flag_row(list(map(ne, _to_rows(got, len(want)), want)))
 
 
 def _fitting(want: list, length: int) -> Sequence[int] | None:
@@ -369,7 +316,6 @@ def _check(
     circuit: Circuit,
     spec: SpecFn,
     chunks: Iterator[_Chunk],
-    check_untouched: bool,
 ) -> Counterexample | None:
     """First counterexample over the chunks, in their order, or None."""
     regs = circuit.registers
@@ -399,8 +345,8 @@ def _check(
         for r, col in zip(regs, columns):
             span = slice(r.offset, r.offset + r.length)
             if r.name in named:
-                bad |= _mismatch(r, rows[span], col, expected, ones, check_untouched)
-            elif check_untouched:
+                bad |= _mismatch(r, rows[span], col, expected)
+            else:
                 bad |= _diff(rows[span], before[span])
         if bad:
             i = (bad & -bad).bit_length() - 1
@@ -416,16 +362,14 @@ def exhaustive_check(
     circuit: Circuit,
     spec: SpecFn,
     domain: Mapping[str, Sequence[int]],
-    *,
-    check_untouched: bool = True,
 ) -> Counterexample | None:
     """Compare the circuit against an integer reference over a full domain.
 
     ``domain`` maps register names to the values they sweep; the check runs
     over the cartesian product, with unlisted registers starting at zero.
     ``spec`` maps input register values to the expected values of the
-    registers it cares about; with ``check_untouched`` every other register
-    must come back unchanged (which is how ancilla cleanliness is enforced).
+    registers it cares about; every register it leaves out, for an input,
+    must come back unchanged for that input.
     ``spec`` is called once per input, in product order, each time with a
     fresh dict holding every register's input value; it may keep or change
     that dict.  Its answer is copied, and each value is compared with the
@@ -436,7 +380,7 @@ def exhaustive_check(
     the check stops at the chunk holding the first counterexample.
     """
     _validate_domain(circuit, domain)
-    return _check(circuit, spec, _product_chunks(domain), check_untouched)
+    return _check(circuit, spec, _product_chunks(domain))
 
 
 def randomized_check(
@@ -446,10 +390,11 @@ def randomized_check(
     *,
     trials: int,
     seed: int,
-    check_untouched: bool = True,
 ) -> Counterexample | None:
     """Seeded uniform sampling of each register's value sequence.
 
+    Each trial is checked by the same rule as in ``exhaustive_check``:
+    named registers hold the spec's value, the rest come back unchanged.
     Deterministic for a given seed; ``trials=0`` passes vacuously.  The
     domain is validated up front, as in ``exhaustive_check``, so a value
     that does not fit its register is refused even if no trial would draw
@@ -473,4 +418,4 @@ def randomized_check(
                     cols[name].append(space[rng.randrange(size)])
             yield k, cols
 
-    return _check(circuit, spec, chunks(), check_untouched)
+    return _check(circuit, spec, chunks())

@@ -199,6 +199,20 @@ def test_scale_rejects_non_finite_numbers(tmp_path, capsys):
     assert captured.out == "" and "finite" in captured.err
 
 
+def test_verify_rejects_routed_document(tmp_path, capsys):
+    """A routed circuit holds the CV gates of the Toffoli decomposition,
+    which have no basis-state action: verify exits 2 and says so."""
+    built, routed = tmp_path / "a.json", tmp_path / "r.json"
+    assert run(["build", "--kind", "adder", "--n", "3", "--out", str(built)]) == 0
+    assert run(["estimate", "--circuit", str(built), "--arch", "ntc",
+                "--emit-routed", str(routed)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--circuit", str(routed), "--spec", "adder",
+                "--exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-classical gate CV" in captured.err
+
+
 def test_missing_file_exits_3(capsys):
     assert run(["verify", "--circuit", "/nonexistent/c.json",
                 "--spec", "adder"]) == 3

@@ -12,13 +12,11 @@ from shorcost import oracle
 from shorcost.circuit import GATE_ARITY, Circuit, CircuitError, Gate, GateKind
 from shorcost.contracts import contract
 from shorcost.oracle import (
-    BasisState,
     Counterexample,
     NonClassicalGateError,
     domain_size,
     exhaustive_check,
     randomized_check,
-    simulate,
     simulate_mask,
 )
 
@@ -47,30 +45,13 @@ def test_cv_rejected():
     c = Circuit(2).cv(0, 1)
     with pytest.raises(NonClassicalGateError):
         simulate_mask(c, 0)
+    # the bit-sliced engine refuses it too, through both checks
+    c = Circuit(2, [("a", 0, 1), ("b", 1, 1)]).cv(0, 1)
+    domain = {"a": range(2), "b": range(2)}
     with pytest.raises(NonClassicalGateError):
-        simulate(c, BasisState(2, 0))
-
-
-def test_register_views_are_little_endian():
-    reg_a = ("a", 0, 3)
-    c = Circuit(4, [reg_a, ("b", 3, 1)])
-    st = BasisState(4, 0).put(c.register("a"), 5)
-    assert st.bit(0) == 1 and st.bit(1) == 0 and st.bit(2) == 1
-    assert st.get(c.register("a")) == 5
-    assert st.get(c.register("b")) == 0
-
-
-def test_register_value_round_trip():
-    c = Circuit(6, [("r", 1, 4)])
-    reg = c.register("r")
-    for v in range(16):
-        assert BasisState(6, 0).put(reg, v).get(reg) == v
-
-
-def test_put_rejects_oversized_value():
-    c = Circuit(3, [("r", 0, 2)])
-    with pytest.raises(ValueError):
-        BasisState(3, 0).put(c.register("r"), 4)
+        exhaustive_check(c, _xor_spec(c), domain)
+    with pytest.raises(NonClassicalGateError):
+        randomized_check(c, _xor_spec(c), domain, trials=4, seed=0)
 
 
 def _random_classical_circuit(rng, width, n_gates):
@@ -138,7 +119,6 @@ def test_check_untouched_catches_dirty_scratch():
         return {}
 
     assert exhaustive_check(c, fn, {"a": range(2)}) is not None
-    assert exhaustive_check(c, fn, {"a": range(2)}, check_untouched=False) is None
 
 
 def test_mutated_adder_is_caught():
@@ -185,7 +165,7 @@ def test_wide_circuit_simulation():
 # the bit-sliced engine against the single-state reference walker
 
 
-def _reference_check(circuit, spec, domain, check_untouched=True):
+def _reference_check(circuit, spec, domain):
     """Loop over itertools.product with simulate_mask, one input at a time."""
     regs = circuit.registers
     names = list(domain)
@@ -197,7 +177,7 @@ def _reference_check(circuit, spec, domain, check_untouched=True):
         inputs = {r.name: mask >> r.offset & ((1 << r.length) - 1) for r in regs}
         actual = {r.name: out >> r.offset & ((1 << r.length) - 1) for r in regs}
         expected = dict(spec(inputs))
-        want = dict(inputs) if check_untouched else {}
+        want = dict(inputs)
         want.update((k, v) for k, v in expected.items() if k in actual)
         if any(actual[k] != v for k, v in want.items()):
             return Counterexample(inputs, expected, actual)
@@ -257,7 +237,7 @@ def _checks(draw):
             want[name] = value
         return want
 
-    return c, spec, domain, draw(st.booleans())
+    return c, spec, domain
 
 
 def _recording(spec):
@@ -277,15 +257,13 @@ def _recording(spec):
 )
 @settings(max_examples=200, deadline=None)
 def test_engine_matches_reference_walker(case, chunk, batch):
-    c, spec, domain, check_untouched = case
+    c, spec, domain = case
     fn, calls = _recording(spec)
     ref_fn, ref_calls = _recording(spec)
     with mock.patch.object(oracle, "_CHUNK", chunk), mock.patch.object(oracle, "_BATCH", batch):
-        got = exhaustive_check(c, fn, domain, check_untouched=check_untouched)
-        sampled = randomized_check(
-            c, spec, domain, trials=5, seed=1, check_untouched=check_untouched
-        )
-    assert got == _reference_check(c, ref_fn, domain, check_untouched)
+        got = exhaustive_check(c, fn, domain)
+        sampled = randomized_check(c, spec, domain, trials=5, seed=1)
+    assert got == _reference_check(c, ref_fn, domain)
     # the engine visits the product in the same order, and stops within
     # one chunk of the first counterexample
     assert calls[: len(ref_calls)] == ref_calls
@@ -303,20 +281,6 @@ def test_chunks_walk_the_product_in_order(chunk):
         assert exhaustive_check(c, fn, domain) is None
     order = [(x["a"], x["b"], x["c"]) for x in calls]
     assert order == list(itertools.product(*domain.values()))
-
-
-def test_partial_spec_without_untouched_check():
-    """Inputs the spec says nothing about are not compared at all."""
-    c = Circuit(2, [("a", 0, 1), ("b", 1, 1)]).cx(0, 1)
-
-    def fn(vals):
-        return {"b": vals["a"] ^ vals["b"]} if vals["a"] else {}
-
-    domain = {"a": range(2), "b": range(2)}
-    assert exhaustive_check(c, fn, domain, check_untouched=False) is None
-    c.x(1)  # now wrong where a=1, and also changes b where the spec is silent
-    cx = exhaustive_check(c, fn, domain, check_untouched=False)
-    assert cx.input_registers == {"a": 1, "b": 0}
 
 
 @pytest.mark.parametrize("bad_value", [4, -1, -4, 1 << 70])
