@@ -14,7 +14,9 @@ recorded from builders that emitted every adder pass gate by gate, before
 each lane recorded its passes once and replayed them.  The two-lane
 pipeline's other adders and its other result-block positions (n=5 and
 n=6) were pinned later, so a rewrite of the pipeline builder has to keep
-every shape of it.
+every shape of it.  The conditional-sum adder at widths 1, 3, 6 and 7
+(plain and controlled) was pinned later still, so that a rewrite of its
+tree numbering has to keep the uneven splits.
 
 The ``-cli-`` entries pin what the command line prints for ``build`` →
 ``estimate --arch ac`` → ``estimate --arch ntc --emit-routed`` on the two
@@ -76,6 +78,14 @@ GOLDEN = {
     "modexp-6-53-2-s2": "a43efe1b811520a865e93feae3ec8af28f1fd7e8e25cc798636c4df26b593a69",
     "modexp-4-13-2-s2-vbe": "64c297924b14ae8d915701c0eb08cd8a07281db0a3c1850bb7ae7b20397956dd",
     "modexp-4-13-2-s2-condsum": "a42737318943224ef33ad976288b2b91a29964ed1bac6e406207db58b9238976",
+    "adder-condsum-1": "28c641b710be305ecf96b54bb029e80eb86f7b618483cd24314c030ff672a73e",
+    "ctrl-adder-condsum-1": "d2c940ae7c7d974d7a5f963bc0aec50172134a37194d918d936ef4aaf4426c49",
+    "adder-condsum-3": "a9f997164c02f584450e7f6f5e768cf620179d38a41323eca071205841344615",
+    "ctrl-adder-condsum-3": "4c65a6d6f822a09de3f80c1f44051f8faf91ca5715132f38ee3ca2adc57ab2e8",
+    "adder-condsum-6": "355eeaae03af5a51319946337b5dfcd08bc7d446baa447b975d23895836c508c",
+    "ctrl-adder-condsum-6": "9eeec03c73dc54531d2eaae8d3131148d99a4261bbdd3475c858b284262eb15e",
+    "adder-condsum-7": "ae65edda2753b2567d1efddb0fc54dc4ce8e91ecc1351b8dd063c952fe0a0996",
+    "ctrl-adder-condsum-7": "3578fe8223ab5294b23e2efda4a70697c9f539f25089111c5cc5ceb379507f44",
     "modexp-4-13-2-s1-cli-ac": "296d926848f92fef84dc37c33993fe1c2ffdf210735e32f85d0654a6a6b7371c",
     "modexp-4-13-2-s1-cli-ntc": "fb6af1c5b36fa1774aaed3146521f5abfc3ebb7decbe2b808173df65a0b7bf93",
     "modexp-4-13-2-s2-cli-ac": "61799dc24755876ae9e6edb71c61c1ef3c8e54d092e98a08482ea3d414d62ea2",
@@ -99,6 +109,13 @@ BUILT_ONLY = {
     # 0 at n=6 (and 2 at n=4, pinned in BUILDS)
     "modexp-5-29-2-s2": (build_modexp, ModexpSpec(n=5, modulus=29, base=2, s=2)),
     "modexp-6-53-2-s2": (build_modexp, ModexpSpec(n=6, modulus=53, base=2, s=2)),
+    # the conditional-sum tree at a width with no block carry (1) and at
+    # widths that split unevenly (3, 6, 7); 4 is pinned in BUILDS
+    **{
+        f"{prefix}-condsum-{n}": (build, AdderKind.CONDITIONAL_SUM, n)
+        for prefix, build in (("adder", build_adder), ("ctrl-adder", build_controlled_adder))
+        for n in (1, 3, 6, 7)
+    },
 }
 
 BUILDS = {
