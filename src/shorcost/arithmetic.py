@@ -12,13 +12,15 @@ against plain integer arithmetic by the oracle tests.  The stack is:
   emitter, ``_emit_modadd``, writes it for every builder; its ``select``
   lets a second qubit choose between two constants, which is how the
   pipelined modexp picks ``1`` or ``base^(2^i)`` per exponent bit;
-* modular multiplication by a classical constant via shift-and-add,
-  a register swap, and an inverse multiply by the modular inverse that
-  clears the scratch product;
+* a multiply-accumulate ``tgt <- tgt + mult * src mod modulus``: one
+  emitter, ``_emit_mac``, with one gated modular add per source bit;
+* modular multiplication by a classical constant: a multiply-accumulate
+  into a zero register, a register swap, and a multiply-accumulate of
+  the negated modular inverse that clears the scratch product;
 * modular exponentiation ``r = base^e mod modulus`` over a 2n-bit exponent,
   either serial (one controlled multiply per exponent bit) or as a
-  two-lane pipeline that overlaps each multiply with the clearing of the
-  previous value (see ``build_modexp``).
+  two-lane pipeline that overlaps each multiply-accumulate with the
+  clearing of the previous value (see ``build_modexp``).
 
 All builders restore every ancilla register to its input value on the
 stated domain (ancillae in, ancillae out; tests sweep this exhaustively
@@ -140,7 +142,7 @@ def _emit_vbe(c: Circuit, a: list, b: list, cout: int, anc: dict) -> None:
         sum_(i)
 
 
-class _CondSum:
+def _emit_condsum(c: Circuit, a: list, b: list, cout: int, anc: dict) -> None:
     """Carry-select tree adder.
 
     The up-sweep computes, for every aligned block, its carry-out under
@@ -151,103 +153,77 @@ class _CondSum:
     carry-in subtracts ``a`` again, which erases the old value of ``b``
     left in the scratch register by the swap.  Depth is O(log m), ancilla
     count O(m).
+
+    Tree nodes take ``gen`` slots in preorder, so a block of k positions
+    spans 2k - 1 ids and its high half starts 2 * (mid - lo) after it;
+    block carries are numbered in preorder over the inner nodes (k - 1
+    per block) the same way.
     """
+    m = len(a)
+    sums, prop, blockcarry = anc["sum"], anc["prop"], anc["blockcarry"]
+    gen = (anc["gen0"], anc["gen1"])
+    carry = [0] * m  # the wire carrying into each position above 0
 
-    def __init__(self, c: Circuit, a: list, b: list, cout: int, anc: dict):
-        self.c = c
-        self.a = a
-        self.b = b
-        self.cout = cout
-        self.sum = anc["sum"]
-        self.prop = anc["prop"]
-        self.gen = (anc["gen0"], anc["gen1"])
-        self.blockcarry = anc["blockcarry"]
-        self.m = len(a)
-
-    def emit(self) -> None:
-        c = self.c
-        self._pass(cin=0, write_carry=True)
-        for i in range(self.m):
-            c.swap(self.b[i], self.sum[i])
-        for q in self.a:
-            c.x(q)
-        self._pass(cin=1, write_carry=False)
-        for q in self.a:
-            c.x(q)
-
-    # one compute / write / uncompute round
-    def _pass(self, cin: int, write_carry: bool) -> None:
-        c = self.c
-        self._node_ids: dict[tuple[int, int], int] = {}
-        self._next_node = 0
-        self._next_blockcarry = 0
-        # per position: ("const", 0|1) or ("wire", qubit)
-        self._carry_in: list[tuple[str, int]] = [("const", 0)] * self.m
-
-        sweep_start = len(c)
-        root = self._up(0, self.m)
-        self._down(0, self.m, cin)
-        sweep_end = len(c)
-
-        for i in range(self.m):
-            c.cx(self.prop[i], self.sum[i])
-            tag, ci = self._carry_in[i]
-            if tag == "const":
-                if ci:
-                    c.x(self.sum[i])
-            else:
-                c.cx(ci, self.sum[i])
-        if write_carry:
-            c.cx(self.gen[cin][root], self.cout)
-
-        c.invert_span(sweep_start, sweep_end)
-
-    def _node(self, lo: int, hi: int) -> int:
-        nid = self._next_node
-        self._next_node += 1
-        self._node_ids[(lo, hi)] = nid
-        return nid
-
-    def _up(self, lo: int, hi: int) -> int:
-        c = self.c
-        nid = self._node(lo, hi)
-        g0, g1 = self.gen[0][nid], self.gen[1][nid]
+    def up(lo: int, hi: int, nid: int) -> None:
+        g0, g1 = gen[0][nid], gen[1][nid]
         if hi - lo == 1:
-            i = lo
-            c.ccx(self.a[i], self.b[i], g0)
-            c.cx(self.a[i], self.prop[i])
-            c.cx(self.b[i], self.prop[i])
+            c.ccx(a[lo], b[lo], g0)
+            c.cx(a[lo], prop[lo])
+            c.cx(b[lo], prop[lo])
             c.cx(g0, g1)
-            c.cx(self.prop[i], g1)
-            return nid
-        mid = (lo + hi) // 2
-        low = self._up(lo, mid)
-        high = self._up(mid, hi)
-        for h in (0, 1):
-            sel = self.gen[h][low]
-            dst = (g0, g1)[h]
-            c.cx(self.gen[0][high], dst)
-            c.ccx(sel, self.gen[0][high], dst)
-            c.ccx(sel, self.gen[1][high], dst)
-        return nid
-
-    def _down(self, lo: int, hi: int, cin: int, classical: bool = True) -> None:
-        c = self.c
-        if hi - lo == 1:
-            self._carry_in[lo] = ("const" if classical else "wire", cin)
+            c.cx(prop[lo], g1)
             return
         mid = (lo + hi) // 2
-        low = self._node_ids[(lo, mid)]
-        cin_high = self.blockcarry[self._next_blockcarry]
-        self._next_blockcarry += 1
-        if classical:
-            c.cx(self.gen[cin][low], cin_high)
+        low, high = nid + 1, nid + 2 * (mid - lo)
+        up(lo, mid, low)
+        up(mid, hi, high)
+        for h in (0, 1):
+            sel = gen[h][low]
+            dst = (g0, g1)[h]
+            c.cx(gen[0][high], dst)
+            c.ccx(sel, gen[0][high], dst)
+            c.ccx(sel, gen[1][high], dst)
+
+    def down(lo: int, hi: int, nid: int, bc: int, cin: int) -> None:
+        """``cin`` is the constant carry-in on the blocks at position 0 and
+        a block-carry wire on every other block."""
+        if hi - lo == 1:
+            carry[lo] = cin
+            return
+        mid = (lo + hi) // 2
+        low, cin_high = nid + 1, blockcarry[bc]
+        if lo == 0:
+            c.cx(gen[cin][low], cin_high)
         else:
-            c.cx(self.gen[0][low], cin_high)
-            c.ccx(cin, self.gen[0][low], cin_high)
-            c.ccx(cin, self.gen[1][low], cin_high)
-        self._down(lo, mid, cin, classical)
-        self._down(mid, hi, cin_high, False)
+            c.cx(gen[0][low], cin_high)
+            c.ccx(cin, gen[0][low], cin_high)
+            c.ccx(cin, gen[1][low], cin_high)
+        down(lo, mid, low, bc + 1, cin)
+        down(mid, hi, nid + 2 * (mid - lo), bc + (mid - lo), cin_high)
+
+    def compute_write_uncompute(cin: int, write_carry: bool) -> None:
+        sweep_start = len(c)
+        up(0, m, 0)
+        down(0, m, 0, 0, cin)
+        sweep_end = len(c)
+        for i in range(m):
+            c.cx(prop[i], sums[i])
+            if i:
+                c.cx(carry[i], sums[i])
+            elif cin:
+                c.x(sums[i])
+        if write_carry:
+            c.cx(gen[cin][0], cout)
+        c.invert_span(sweep_start, sweep_end)
+
+    compute_write_uncompute(0, write_carry=True)
+    for i in range(m):
+        c.swap(b[i], sums[i])
+    for q in a:
+        c.x(q)
+    compute_write_uncompute(1, write_carry=False)
+    for q in a:
+        c.x(q)
 
 
 def _emit_adder(
@@ -258,7 +234,7 @@ def _emit_adder(
     elif kind is AdderKind.VBE_RIPPLE:
         _emit_vbe(c, a, b, cout, anc)
     else:
-        _CondSum(c, a, b, cout, anc).emit()
+        _emit_condsum(c, a, b, cout, anc)
 
 
 def build_adder(kind: AdderKind, n: int) -> Circuit:
@@ -463,6 +439,35 @@ def build_const_modadd(
 # ----------------------------------------------------------------------
 
 
+def _emit_mac(
+    circ: Circuit,
+    lane: _ModAddLane,
+    src: list[int],
+    tgt: list[int],
+    mult: int,
+    modulus: int,
+    ctl: int | None = None,
+    act: int | None = None,
+    select: tuple[int, int] | None = None,
+) -> None:
+    """tgt <- (tgt + mult * src) mod modulus: the multiply-accumulate.
+
+    One modular add of ``(mult << j) % modulus`` per source bit j, gated
+    on that bit, or under ``ctl`` on ``act`` = ctl AND the bit.
+    ``select=(sel, other)`` accumulates ``other * src`` in place of
+    ``mult * src`` where ``sel`` is set.
+    """
+    for j, bit in enumerate(src):
+        addend = (mult << j) % modulus
+        chosen = None if select is None else (select[0], (select[1] << j) % modulus)
+        if ctl is None:
+            _emit_modadd(circ, lane, tgt, addend, modulus, active=bit, select=chosen)
+        else:
+            circ.ccx(ctl, bit, act)
+            _emit_modadd(circ, lane, tgt, addend, modulus, active=act, select=chosen)
+            circ.ccx(ctl, bit, act)
+
+
 def _emit_ctrl_modmul(
     circ: Circuit,
     lane: _ModAddLane,
@@ -475,23 +480,11 @@ def _emit_ctrl_modmul(
 ) -> None:
     """y <- (mult * y) mod modulus when ``ctl`` is set (always, if None).
 
-    n gated modular adds accumulate mult*y into the zero register ``p``, a
-    controlled swap exchanges ``y`` and ``p``, and n more adds of the
-    negated multiples of mult^-1 return ``p`` to zero.  Under a control,
-    each add is gated on ``act`` = ctl AND the source bit.
+    A multiply-accumulate adds mult*y into the zero register ``p``, a
+    controlled swap exchanges ``y`` and ``p``, and a second one adds
+    -mult^-1 times the new ``y`` to return ``p`` to zero.
     """
-    inv = pow(mult, -1, modulus)
-
-    def gated_modadd(src_bit: int, addend: int) -> None:
-        if ctl is None:
-            _emit_modadd(circ, lane, p, addend, modulus, active=src_bit)
-        else:
-            circ.ccx(ctl, src_bit, act)
-            _emit_modadd(circ, lane, p, addend, modulus, active=act)
-            circ.ccx(ctl, src_bit, act)
-
-    for j in range(len(y)):
-        gated_modadd(y[j], (mult << j) % modulus)
+    _emit_mac(circ, lane, y, p, mult, modulus, ctl, act)
     for j in range(len(y)):
         if ctl is None:
             circ.swap(y[j], p[j])
@@ -499,8 +492,7 @@ def _emit_ctrl_modmul(
             circ.cx(p[j], y[j])
             circ.ccx(ctl, y[j], p[j])
             circ.cx(p[j], y[j])
-    for j in range(len(y)):
-        gated_modadd(y[j], (modulus - ((inv << j) % modulus)) % modulus)
+    _emit_mac(circ, lane, y, p, modulus - pow(mult, -1, modulus), modulus, ctl, act)
 
 
 def build_modmul_const(
@@ -598,10 +590,12 @@ def _modexp_pipelined(spec: ModexpSpec) -> Circuit:
     Per exponent bit the value hops to the next of three rotating blocks:
     a forward lane accumulates ``selected_const * value`` into the empty
     block while a clear lane erases the previous block by subtracting the
-    inverse constant times the freshly written value.  The two lanes touch
-    disjoint scratch, so consecutive steps overlap under ASAP scheduling
-    and the steady-state cost per exponent bit is one multiply instead of
-    the serial form's multiply-plus-unmultiply.  After 2n hops the value
+    inverse constant times the freshly written value.  Each lane is one
+    multiply-accumulate whose ``select`` on the exponent bit picks its
+    constant: 1 or c_i = base^(2^i) forward, -1 or -c_i^-1 to clear.  The
+    two lanes touch disjoint scratch, so consecutive steps overlap under
+    ASAP scheduling and the steady-state cost per exponent bit is one
+    multiply instead of the serial form's multiply-plus-unmultiply.  After 2n hops the value
     sits in block (2n) % 3, which is the one named ``r``.
     """
     n, N, x = spec.n, spec.modulus, spec.base
@@ -614,20 +608,10 @@ def _modexp_pipelined(spec: ModexpSpec) -> Circuit:
 
     circ.x(blocks[0][0])
     for i in range(2 * n):
-        src = blocks[i % 3]
-        tgt = blocks[(i + 1) % 3]
+        src, tgt = blocks[i % 3], blocks[(i + 1) % 3]
         ci = pow(x, 1 << i, N)
-        cinv = pow(ci, -1, N)
-        for j in range(n):
-            _emit_modadd(
-                circ, fwd, tgt, (1 << j) % N, N,
-                active=src[j], select=(e[i], (ci << j) % N),
-            )
-        for j in range(n):
-            _emit_modadd(
-                circ, clr, src, (N - ((1 << j) % N)) % N, N,
-                active=tgt[j], select=(e[i], (N - ((cinv << j) % N)) % N),
-            )
+        _emit_mac(circ, fwd, src, tgt, 1, N, select=(e[i], ci))
+        _emit_mac(circ, clr, tgt, src, N - 1, N, select=(e[i], N - pow(ci, -1, N)))
     return circ
 
 

@@ -10,13 +10,15 @@ Gates are stored as two flat arrays: one ``uint8`` kind code per gate
 (``KIND_CODE``) and an ``int32`` operand table with three slots per gate,
 -1 marking an unused slot.  Every gate is validated once, where it enters:
 the emitters (``append``, ``x``, ``cx``, ...) check each gate with plain
-int comparisons, and ``from_dict`` and ``from_arrays``, which the lowering
-passes build their output with, check a whole array at a time.
-``invert_span`` and ``append_circuit`` only copy gates that were checked
-when they entered, so they check nothing again.  ``Circuit.gates`` is a
-read-only tuple of ``Gate`` values, built on access.  A circuit also keeps
-the ASAP timestep of each gate once the scheduler or the router has worked
-it out.  Every mutation drops both the snapshot and the timesteps.
+int comparisons, and ``from_dict`` and ``from_arrays``, the entry points
+for data from outside, check a whole array at a time.  ``invert_span``
+and ``append_circuit`` only copy gates that were checked when they
+entered, and the lowering passes hand the gates they compute from a
+valid circuit to ``_extend_raw``, so none of these checks anything
+again.  ``Circuit.gates`` is a read-only tuple of ``Gate`` values, built
+on access.  A circuit also keeps the ASAP timestep of each gate once the
+scheduler or the router has worked it out.  Every mutation drops both
+the snapshot and the timesteps.
 
 Gate order is execution order.  There is no DAG here; data dependencies
 are recovered by the scheduler from operand overlap.

@@ -178,6 +178,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    if args.emit_routed and args.arch != "ntc":
+        raise _UsageError("--emit-routed needs --arch ntc")
     circ = _load_circuit(args.circuit)
     if args.arch == "ntc":
         routed, _ = route_linear(decompose_toffoli(circ))
@@ -291,7 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="schedule under an architecture, print metrics")
     p.add_argument("--circuit", required=True)
     p.add_argument("--arch", required=True, choices=["ac", "ntc"])
-    p.add_argument("--emit-routed", help="also write the routed NTC circuit JSON here")
+    p.add_argument(
+        "--emit-routed", help="also write the routed NTC circuit JSON here (needs --arch ntc)"
+    )
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("scale", help="tabulate cost curves for plotting")

@@ -54,23 +54,22 @@ YEAR_SECONDS = 365.25 * 86_400.0
 
 # NFS exponent constant; logarithms are natural throughout the exponent.
 _NFS_K = (64.0 / 9.0) * math.log(2.0)
+_ANCHOR_BITS = 530  # sieved in MONTH_SECONDS by the anchor pool (ClassicalModel)
 
 
 @dataclass(frozen=True)
 class ClassicalModel:
-    """Number-field-sieve wall time, anchored to a fixed record run.
+    """Number-field-sieve wall time, anchored to a fixed record run: a
+    530-bit number in one month (``MONTH_SECONDS``).
 
     ``compute_factor`` multiplies throughput: 1.0 is the anchor machine
     pool itself, 1000.0 is a thousand times that pool.
     """
 
     compute_factor: float = 1.0
-    anchor_bits: int = 530
-    anchor_seconds: float = MONTH_SECONDS
 
     def __post_init__(self) -> None:
         _check_positive("compute_factor", self.compute_factor)
-        _check_positive("anchor_seconds", self.anchor_seconds)
 
 
 def _check_positive(what: str, value: float) -> None:
@@ -94,17 +93,17 @@ def _sieve_seconds(model: ClassicalModel, n: int) -> float:
     exponential leaves float range (near n = 10^6), which is what the
     crossover scan, probing that far, compares against."""
     try:
-        scale = math.exp(_nfs_exponent(n) - _nfs_exponent(model.anchor_bits))
+        scale = math.exp(_nfs_exponent(n) - _nfs_exponent(_ANCHOR_BITS))
     except OverflowError:
         return math.inf
-    return model.anchor_seconds * scale / model.compute_factor
+    return MONTH_SECONDS * scale / model.compute_factor
 
 
 def nfs_seconds(model: ClassicalModel, n: int) -> float:
     """Extrapolated sieve time in seconds for an n-bit number.
 
     Raises ``ValueError`` when the time does not fit a float (near
-    n = 10^6 for the default anchor).
+    n = 10^6 at ``compute_factor`` 1).
     """
     if n < 2:
         raise ValueError(f"bit size must be at least 2, got {n}")

@@ -146,6 +146,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "must be 1 (serial) or 2 (two-lane pipeline)" in captured.err
     assert not (tmp_path / "z.json").exists()
+    built, routed = tmp_path / "a.json", tmp_path / "routed.json"
+    assert run(["build", "--kind", "adder", "--n", "3", "--out", str(built)]) == 0
+    assert run(["estimate", "--circuit", str(built), "--arch", "ac",
+                "--emit-routed", str(routed)]) == 2  # nothing is routed on AC
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--emit-routed needs --arch ntc" in captured.err
+    assert not routed.exists()
 
 
 def test_verify_contract_mismatch_exits_2(tmp_path, capsys):

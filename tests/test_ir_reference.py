@@ -200,6 +200,8 @@ def test_lowering_matches_reference(c):
     assert list(routed.gates) == want_gates
     assert layout.forward == want_layout
     assert check_conformance(routed, NTC) == ConformanceReport(True, None)
+    for out in (decomposed, routed):
+        assert_passes_the_entry_check(out)
 
 
 @given(circuits())
@@ -209,6 +211,13 @@ def test_route_with_toffolis_matches_reference(c):
     want_gates, want_layout = ref_route(c.gates, c.width)
     assert list(routed.gates) == want_gates
     assert layout.forward == want_layout
+    assert_passes_the_entry_check(routed)
+
+
+def assert_passes_the_entry_check(out):
+    # the passes build their output unchecked; the checked entry point
+    # must accept it unchanged
+    assert Circuit.from_arrays(out.width, out.registers, *out.as_arrays()) == out
 
 
 @given(circuits())
