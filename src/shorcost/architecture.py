@@ -64,17 +64,6 @@ def check_conformance(circuit: Circuit, model: ArchModel) -> ConformanceReport:
     return ConformanceReport(True, None)
 
 
-def _pass_output(circuit: Circuit, kinds: np.ndarray, ops: np.ndarray) -> Circuit:
-    """A circuit on the wires and registers of ``circuit`` holding gates a
-    pass computed from it: ``uint8`` kinds and C-contiguous ``int32``
-    operands of shape (n, 3).  Each gate maps gates of a valid circuit onto
-    its own wires, so none is checked again; ``from_arrays`` stays the
-    checked entry point for arrays from outside."""
-    out = Circuit(circuit.width, circuit.registers)
-    out._extend_raw(kinds, ops.reshape(-1).view(np.uint8))
-    return out
-
-
 # -- Toffoli decomposition ---------------------------------------------
 
 _CV, _CNOT, _CVDAG, _SWAP, _TOFFOLI = (
@@ -101,7 +90,10 @@ def decompose_toffoli(circuit: Circuit) -> Circuit:
     ):
         out_kinds[first + step] = kind
         out_ops[first + step] = np.stack([*pair, unused], axis=1)
-    return _pass_output(circuit, out_kinds, out_ops)
+    # computed from a valid circuit, so not checked again (see ``Circuit``)
+    out = Circuit(circuit.width, circuit.registers)
+    out._extend_raw(out_kinds, out_ops.reshape(-1).view(np.uint8))
+    return out
 
 
 # Exact dyadic entries: V = sqrt(NOT), so V^2 = NOT and V V^dag = I.
@@ -284,6 +276,7 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, LayoutPermutation]:
     routed_ops[~swaps] = np.array(ops, dtype=np.int32).reshape(-1, 3)
     routed_ops[swaps, 0] = low
     routed_ops[swaps, 1] = low + 1
-    routed = _pass_output(circuit, kinds, routed_ops)
+    routed = Circuit(circuit.width, circuit.registers)
+    routed._extend_raw(kinds, routed_ops.reshape(-1).view(np.uint8))  # valid by construction
     routed._steps = steps
     return routed, LayoutPermutation(tuple(pos))

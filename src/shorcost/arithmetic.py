@@ -595,8 +595,8 @@ def _modexp_pipelined(spec: ModexpSpec) -> Circuit:
     constant: 1 or c_i = base^(2^i) forward, -1 or -c_i^-1 to clear.  The
     two lanes touch disjoint scratch, so consecutive steps overlap under
     ASAP scheduling and the steady-state cost per exponent bit is one
-    multiply instead of the serial form's multiply-plus-unmultiply.  After 2n hops the value
-    sits in block (2n) % 3, which is the one named ``r``.
+    multiply instead of the serial form's multiply-plus-unmultiply.  After
+    2n hops the value sits in block (2n) % 3, which is the one named ``r``.
     """
     n, N, x = spec.n, spec.modulus, spec.base
     lay = _Layout()
