@@ -22,6 +22,12 @@ the snapshot and the timesteps.
 
 Gate order is execution order.  There is no DAG here; data dependencies
 are recovered by the scheduler from operand overlap.
+
+``dumps`` writes the ``to_dict`` document as JSON indented by 2.
+``loads`` reads text in exactly that layout as arrays, with a few byte
+passes over the gate block instead of a JSON object tree, and keeps the
+circuit only if it dumps back to the same text; any other layout, and any
+document that is not a valid circuit, goes through ``from_dict``.
 """
 
 from __future__ import annotations
@@ -519,6 +525,16 @@ class Circuit:
 
     @classmethod
     def loads(cls, text: str) -> "Circuit":
+        """The circuit a JSON document describes.  Text in the exact layout
+        ``dumps`` writes is read as arrays, and kept only if the circuit
+        dumps back to the same text; any other text goes through
+        ``from_dict``, which also words every error."""
+        try:
+            c = cls.from_arrays(*_dumps_layout_arrays(text))
+            if c.dumps() == text:
+                return c
+        except Exception:  # not the dumps layout, or not a valid circuit
+            pass
         return cls.from_dict(json.loads(text))
 
 
@@ -570,6 +586,54 @@ def _inverted(kinds: array, ops: array) -> tuple[bytes, bytes]:
     replaced by its inverse (CV and CVDAG trade places)."""
     reversed_ops = np.frombuffer(ops, dtype=np.int32).reshape(-1, 3)[::-1]
     return bytes(kinds)[::-1].translate(_INVERSE_CODES), reversed_ops.tobytes()
+
+
+_GATES_LINE = '\n  "gates": [\n'
+
+# every byte but the commas, digits and upper-case letters of a gate block
+_SPACING = bytes(b for b in range(256) if b not in b",0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+# kind code of a name by its first letter and its length, which tell the
+# six kinds apart, in a 26 x 9 table (length 8 stands for any longer name)
+_SHAPE_CODE = {(ord(k.value[0]) - ord("A"), len(k.value)): code for code, k in enumerate(_KINDS)}
+_NAME_CODE = bytes(_SHAPE_CODE.get(divmod(i, 9), _UNKNOWN) for i in range(26 * 9))
+
+
+def _dumps_layout_arrays(text: str) -> tuple[int, list, np.ndarray, np.ndarray]:
+    """Width, registers, kind codes and operands read from text laid out as
+    ``dumps`` writes it; what they hold is unchecked.
+
+    The header before the gates line is parsed as JSON.  The gate block is
+    cut down to its commas, digits and upper-case letters, which leaves a
+    comma-separated list of kind names, each known by its first letter and
+    its length, and operands; the operands fill each gate's slots in
+    order."""
+    head, found, block = text.partition(_GATES_LINE)
+    if not found:
+        raise ValueError("no gates line")
+    header = json.loads(head + '"gates": []}')
+    registers = [(r["name"], r["offset"], r["length"]) for r in header["registers"]]
+    raw = np.frombuffer(b"," + block.encode("ascii").translate(None, _SPACING), dtype=np.uint8)
+    starts = np.flatnonzero(raw == ord(",")) + 1
+    lengths = np.diff(starts, append=len(raw) + 1) - 1
+    first = raw[starts]
+    names = first >= ord("A")
+    table = np.frombuffer(_NAME_CODE, dtype=np.uint8).reshape(26, 9)
+    kinds = table[first[names] - ord("A"), np.minimum(lengths[names], 8)]
+    starts, lengths = starts[~names], lengths[~names]
+    longest = int(lengths.max(initial=0))
+    if longest > 10:  # more digits than any int32 operand has
+        raise ValueError("operand too long")
+    values = np.zeros(len(starts), dtype=np.int64)
+    for k in range(longest):
+        more = np.flatnonzero(lengths > k)
+        values[more] = values[more] * 10 + (raw[starts[more] + k] - ord("0"))
+    counts = _ARITY[kinds]
+    if counts.sum() != len(values):
+        raise ValueError("operand count")
+    ops = np.full((len(kinds), 3), -1, dtype=np.int64)
+    ops[np.arange(3) < counts[:, None]] = values
+    return header["width"], registers, kinds, ops
 
 
 def _gate_text(kind: GateKind) -> str:

@@ -178,8 +178,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    if args.emit_routed and args.arch != "ntc":
-        raise _UsageError("--emit-routed needs --arch ntc")
+    if args.emit_routed is not None:
+        if args.arch != "ntc":
+            raise _UsageError("--emit-routed needs --arch ntc")
+        if not args.emit_routed:
+            raise _UsageError("--emit-routed needs a file path, got an empty one")
     circ = _load_circuit(args.circuit)
     if args.arch == "ntc":
         routed, _ = route_linear(decompose_toffoli(circ))
@@ -188,7 +191,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             raise CircuitError(
                 f"routing failed to produce an NTC circuit: {report.first_violation}"
             )
-        if args.emit_routed:
+        if args.emit_routed is not None:
             Path(args.emit_routed).write_text(routed.dumps())
         circ = routed
     else:

@@ -138,7 +138,26 @@ def circuits(draw, max_width=8, max_gates=40):
     return c
 
 
-@given(circuits())
+# register names that JSON has to escape
+_NAME_CHARS = st.sampled_from(['"', "\\", "/", "\n", "\t", "é", "λ", "☃", "\U0001d11e", "a", "Z", "0", " "])
+
+
+@st.composite
+def named_circuits(draw):
+    """``circuits()`` with its wires split into registers with awkward names."""
+    c = draw(circuits())
+    cuts = sorted(draw(st.sets(st.integers(1, c.width - 1), max_size=3)) | {0, c.width})
+    names = draw(
+        st.lists(st.text(_NAME_CHARS, min_size=1, max_size=5),
+                 min_size=len(cuts) - 1, max_size=len(cuts) - 1, unique=True)
+    )
+    spans = zip(names, cuts, cuts[1:])
+    keep = draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+    regs = [(name, lo, hi - lo) for (name, lo, hi), kept in zip(spans, keep) if kept]
+    return Circuit.from_arrays(c.width, regs, *c.as_arrays())
+
+
+@given(named_circuits())
 @settings(max_examples=60)
 def test_round_trip_any_circuit(c):
     assert Circuit.loads(c.dumps()) == c
@@ -162,6 +181,81 @@ def test_inverse_reverses_and_preserves_counts(c):
     for kind in (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP):
         assert inv_census[kind] == census[kind]
     assert [g.operands for g in inv.gates] == [g.operands for g in reversed(c.gates)]
+
+
+# ---------------------------------------------------------------------------
+# reading the dumps layout as arrays
+
+@st.composite
+def documents(draw):
+    """``dumps()`` of a circuit, or a copy of it changed in one of the ways a
+    reader of the exact layout could get wrong."""
+    c = draw(named_circuits())
+    text = c.dumps()
+    gates_at = text.find('"gates": [\n') + len('"gates": [\n')
+    operands = [i for i in range(gates_at, len(text) - 1)
+                if text[i].isdigit() and text[i - 1] == " "]
+    kinds = [i + len('"kind": "') for i in range(len(text)) if text.startswith('"kind": "', i)]
+    how = draw(st.sampled_from(
+        ["same", "zero", "minus", "case", "newline", "compact", "truncate", "byte"]
+    ))
+    if how == "zero" and operands:
+        i = draw(st.sampled_from(operands))
+        return text[:i] + "0" + text[i:]
+    if how == "minus" and operands:
+        i = draw(st.sampled_from(operands))
+        return text[:i] + "-" + text[i:]
+    if how == "case" and kinds:
+        i = draw(st.sampled_from(kinds))
+        j = text.index('"', i)
+        name = text[i:j]
+        other = draw(st.sampled_from([name.lower(), name.title(), name[:-1] + name[-1].lower()]))
+        return text[:i] + other + text[j:]
+    if how == "newline":
+        return text[:-1]
+    if how == "compact":
+        return json.dumps(c.to_dict())
+    if how == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if how == "byte" and gates_at < len(text):
+        i = draw(st.integers(gates_at, len(text) - 1))
+        new = draw(st.sampled_from(list('0123456789 \n,{}[]":-+.eEA' + "NOTCSWAPVDGFLI" + "é")))
+        return text[:i] + new + text[i + 1:]
+    return text
+
+
+def _outcome(read, text):
+    """What ``read(text)`` returns, or the type and message of what it raises."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(documents())
+@settings(max_examples=300)
+def test_loads_agrees_with_from_dict(text):
+    assert _outcome(Circuit.loads, text) == _outcome(
+        lambda t: Circuit.from_dict(json.loads(t)), text
+    )
+
+
+def test_loads_reads_the_dumps_layout_without_from_dict(monkeypatch):
+    """``loads`` of ``dumps`` text never needs the JSON object tree."""
+    from shorcost.architecture import decompose_toffoli, route_linear
+    from shorcost.arithmetic import ModexpSpec, build_modexp
+
+    built = build_modexp(ModexpSpec(n=4, modulus=13, base=2, s=2))
+    routed, _ = route_linear(decompose_toffoli(built))
+    bare = Circuit(3).x(0).cx(0, 1).ccx(0, 1, 2).swap(2, 0).cv(1, 2).cvdag(2, 1)
+    widest = Circuit((1 << 31) - 1, [("top", (1 << 31) - 2, 1)]).cx((1 << 31) - 2, 0)
+
+    def refuse(cls, data):
+        raise AssertionError("from_dict called")
+
+    monkeypatch.setattr(Circuit, "from_dict", classmethod(refuse))
+    for c in (built, routed, bare, widest):
+        assert Circuit.loads(c.dumps()) == c
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +315,10 @@ MALFORMED = [
 def test_loads_rejects_malformed_documents(doc, match):
     with pytest.raises(CircuitError, match=match):
         Circuit.from_dict(doc)
-    with pytest.raises(CircuitError, match=match):
-        Circuit.loads(json.dumps(doc))
+    # compact, and laid out as ``dumps`` writes, which ``loads`` reads as arrays
+    for text in (json.dumps(doc), json.dumps(doc, indent=2) + "\n"):
+        with pytest.raises(CircuitError, match=match):
+            Circuit.loads(text)
 
 
 def test_loads_names_the_offending_gate():

@@ -153,6 +153,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "--emit-routed needs --arch ntc" in captured.err
     assert not routed.exists()
+    before = set(tmp_path.iterdir())
+    for arch, message in (("ntc", "--emit-routed needs a file path"),
+                          ("ac", "--emit-routed needs --arch ntc")):
+        assert run(["estimate", "--circuit", str(built), "--arch", arch,
+                    "--emit-routed", ""]) == 2  # an empty path is no path
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+    assert set(tmp_path.iterdir()) == before
 
 
 def test_verify_contract_mismatch_exits_2(tmp_path, capsys):
