@@ -10,15 +10,15 @@ Gates are stored as two flat arrays: one ``uint8`` kind code per gate
 (``KIND_CODE``) and an ``int32`` operand table with three slots per gate,
 -1 marking an unused slot.  Every gate is validated once, where it enters:
 the emitters (``append``, ``x``, ``cx``, ...) check each gate with plain
-int comparisons, and ``from_dict`` and ``from_arrays``, the entry points
-for data from outside, check a whole array at a time.  ``invert_span``
-and ``append_circuit`` only copy gates that were checked when they
-entered, and the lowering passes hand the gates they compute from a
-valid circuit to ``_extend_raw``, so none of these checks anything
-again.  ``Circuit.gates`` is a read-only tuple of ``Gate`` values, built
-on access.  A circuit also keeps the ASAP timestep of each gate once the
-scheduler or the router has worked it out.  Every mutation drops both
-the snapshot and the timesteps.
+int comparisons, ``from_dict`` hands each gate of a document, in order,
+to ``Gate`` and ``append``, and only ``from_arrays`` checks a whole array
+at a time.  ``invert_span`` and ``append_circuit`` only copy gates that
+were checked when they entered, and the lowering passes hand the gates
+they compute from a valid circuit to ``_extend_raw``, so none of these
+checks anything again.  ``Circuit.gates`` is a read-only tuple of
+``Gate`` values, built on access.  A circuit also keeps the ASAP timestep
+of each gate once the scheduler or the router has worked it out.  Every
+mutation drops both the snapshot and the timesteps.
 
 Gate order is execution order.  There is no DAG here; data dependencies
 are recovered by the scheduler from operand overlap.
@@ -36,7 +36,6 @@ import json
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
@@ -89,8 +88,8 @@ KIND_CODE: dict[GateKind, int] = {kind: code for code, kind in enumerate(_KINDS)
 """Array code of each gate kind; ``Circuit.as_arrays`` holds these."""
 
 _NOT, _CNOT, _TOFFOLI, _SWAP, _CV, _CVDAG = range(len(_KINDS))
-_CODE_BY_NAME = {kind.value: code for kind, code in KIND_CODE.items()}
-_UNKNOWN = 255  # code of a kind name ``from_dict`` does not know
+_KIND_BY_NAME = {kind.value: kind for kind in _KINDS}
+_UNKNOWN = 255  # code of a kind name the ``dumps``-layout reader does not know
 _ARITIES = tuple(GATE_ARITY[kind] for kind in _KINDS)
 _ARITY = np.array(_ARITIES, dtype=np.int8)
 _INVERSE_CODES = bytes(KIND_CODE[_INVERSE_KIND[kind]] for kind in _KINDS).ljust(256, b"\0")
@@ -452,9 +451,11 @@ class Circuit:
     def from_dict(cls, data: dict) -> "Circuit":
         """Rebuild a circuit from ``to_dict`` output.  Every field is checked:
         JSON types (objects, lists, strings), integer width and register
-        geometry, known kinds, integer operands (booleans and floats are
-        rejected), arity, distinct operands and range; any failure raises
-        ``CircuitError`` naming the field."""
+        geometry, then each gate in document order: its kind is known, and
+        ``Gate`` and ``append`` check its operands (integers, with booleans
+        and floats rejected; arity; distinct; range) as they check any gate
+        an emitter is given.  The first failure raises ``CircuitError``
+        naming the field."""
         _expect([data], dict, "a circuit document")
         try:
             registers = _expect([data["registers"]], list, "registers")[0]
@@ -463,53 +464,21 @@ class Circuit:
                 for r in _expect(registers, dict, "registers[{}]")
             ]
             c = cls(data["width"], regs)
-            gates = _expect([data["gates"]], list, "gates")[0]
-            # A gate that is not an object, or a kind that is not a string,
-            # makes a step below fail or look unknown; only then is its JSON
-            # type named, so a valid document pays for no extra pass.
-            try:
-                names = [g["kind"] for g in gates]
-                operands = [g["operands"] for g in gates]
-            except TypeError:
-                _expect(gates, dict, "gates[{}]")
-                raise
+            for i, g in enumerate(_expect([data["gates"]], list, "gates")[0]):
+                where = f"gates[{i}]"
+                _expect([g], dict, where)
+                name, ops = g["kind"], g["operands"]
+                _expect([name], str, f"{where}.kind")
+                _expect([ops], list, f"{where}.operands")
+                if name not in _KIND_BY_NAME:
+                    raise CircuitError(f"{where}: unknown gate kind {name!r}")
+                try:
+                    c.append(Gate(_KIND_BY_NAME[name], ops))
+                except CircuitError as exc:
+                    raise CircuitError(f"{where}: {exc}") from None
         except KeyError as exc:
             raise CircuitError(f"malformed circuit document: missing field {exc}") from None
-        _expect(operands, list, "gates[{}].operands")
-        try:
-            kinds = np.array([_CODE_BY_NAME.get(k, _UNKNOWN) for k in names], dtype=np.uint8)
-        except TypeError:
-            _expect(names, str, "gates[{}].kind")
-            raise
-        counts = np.fromiter(map(len, operands), dtype=np.int64, count=len(operands))
-        flat = list(chain.from_iterable(operands))
-
-        def reject(i: int) -> CircuitError:
-            ops = tuple(operands[i])
-            return CircuitError(f"gates[{i}]: {_gate_error(int(kinds[i]), ops, c.width)}")
-
-        def reject_operand(j: int) -> CircuitError:
-            """The error for the gate that holds ``flat[j]``."""
-            return reject(int(np.searchsorted(np.cumsum(counts), j, side="right")))
-
-        unknown = np.flatnonzero(kinds == _UNKNOWN)
-        if unknown.size:
-            i = int(unknown[0])
-            _expect([names[i]], str, f"gates[{i}].kind")
-            raise CircuitError(f"gates[{i}]: unknown gate kind {names[i]!r}")
-        wrong = np.flatnonzero(counts != _ARITY[kinds])
-        if wrong.size:
-            raise reject(int(wrong[0]))
-        if not set(map(type, flat)) <= {int}:  # bool and float are rejected too
-            raise reject_operand(next(j for j, q in enumerate(flat) if type(q) is not int))
-        try:
-            values = np.array(flat, dtype=np.int64)
-        except OverflowError:
-            wide = next(j for j, q in enumerate(flat) if not -(1 << 63) <= q < 1 << 63)
-            raise reject_operand(wide) from None
-        ops = np.full((len(counts), 3), -1, dtype=np.int64)
-        ops[np.arange(3) < counts[:, None]] = values
-        return cls.from_arrays(c.width, c.registers, kinds, ops)
+        return c
 
     def dumps(self) -> str:
         """JSON text: the ``to_dict`` document, indented by 2, newline-ended."""
@@ -552,10 +521,10 @@ _JSON_TYPE = {
 def _expect(values: list, kind: type, where: str) -> list:
     """``values``, once each is checked to be a ``kind``; ``where.format(i)``
     names the value at index i in the error."""
-    if not all(issubclass(t, kind) for t in set(map(type, values))):
-        i = next(i for i, v in enumerate(values) if not isinstance(v, kind))
-        got = _JSON_TYPE.get(type(values[i]), type(values[i]).__name__)
-        raise CircuitError(f"{where.format(i)} must be {_JSON_TYPE[kind]}, got {got}")
+    for i, value in enumerate(values):
+        if not isinstance(value, kind):
+            got = _JSON_TYPE.get(type(value), type(value).__name__)
+            raise CircuitError(f"{where.format(i)} must be {_JSON_TYPE[kind]}, got {got}")
     return values
 
 

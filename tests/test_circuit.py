@@ -306,6 +306,11 @@ MALFORMED = [
     ("{}", "a circuit document must be an object, got a string"),
     (_doc([{"kind": 5, "operands": [0]}]), r"gates\[0\]\.kind must be a string, got a number"),
     (_doc([{"kind": "NOT", "operands": {"0": 1}}]), r"gates\[0\]\.operands must be a list"),
+    # the first bad gate in document order is named, whatever its fault
+    (
+        _doc([{"kind": "CNOT", "operands": [0, 9]}, {"kind": "HADAMARD", "operands": [0]}]),
+        r"gates\[0\]: gate CNOT\(0, 9\) out of range",
+    ),
 ]
 
 

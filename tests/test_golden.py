@@ -179,3 +179,11 @@ def test_cli_bytes_are_pinned(s, tmp_path, capsys):
         assert _sha256(text) == GOLDEN[f"{name}-{label}"]
     assert _sha256(built.read_text()) == GOLDEN[name]
     assert _sha256(routed.read_text()) == GOLDEN[f"{name}-ntc"]
+    # the same document in compact JSON, which ``loads`` reads through
+    # ``from_dict``, gives the same output bytes
+    built.write_text(json.dumps(json.loads(built.read_text())))
+    routed.unlink()
+    for label in ("cli-ac", "cli-ntc"):
+        assert run(steps[label]) == 0
+        assert _sha256(capsys.readouterr().out) == GOLDEN[f"{name}-{label}"]
+    assert _sha256(routed.read_text()) == GOLDEN[f"{name}-ntc"]
