@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import KIND_CODE, Circuit, CircuitError, Gate, GateKind
+from .circuit import _ARITY, KIND_CODE, Circuit, CircuitError, Gate, GateKind
 
 __all__ = [
     "ArchModel",
@@ -54,8 +54,10 @@ class ConformanceReport:
 
 def check_conformance(circuit: Circuit, model: ArchModel) -> ConformanceReport:
     """Check every gate against the model's arity and adjacency rules."""
-    _, ops = circuit.as_arrays()
-    arity = (ops >= 0).sum(axis=1)  # an unused operand slot holds -1
+    # views of the gate arrays, dropped on return (see ``Circuit._keys``)
+    kinds = np.frombuffer(circuit._kinds, dtype=np.uint8)
+    ops = np.frombuffer(circuit._ops, dtype=np.int32).reshape(-1, 3)
+    arity = _ARITY[kinds]
     bad = arity > model.max_arity
     if model.adjacency_required:
         bad |= (arity == 2) & (np.abs(ops[:, 0] - ops[:, 1]) != 1)

@@ -23,11 +23,17 @@ mutation drops both the snapshot and the timesteps.
 Gate order is execution order.  There is no DAG here; data dependencies
 are recovered by the scheduler from operand overlap.
 
-``dumps`` writes the ``to_dict`` document as JSON indented by 2.
-``loads`` reads text in exactly that layout as arrays, with a few byte
-passes over the gate block instead of a JSON object tree, and keeps the
-circuit only if it dumps back to the same text; any other layout, and any
-document that is not a valid circuit, goes through ``from_dict``.
+``dumps`` writes the ``to_dict`` document as JSON indented by 2.  It and
+``gates`` know each gate by one integer key, worked out with numpy a
+slice at a time: ``((kind*R + a+1)*R + b+1)*R + c+1``, where R is the
+largest operand plus 2 and an unused slot's -1 becomes 0.  The keys are
+``int64`` while ``len(_KINDS) * R**3 < 2**63`` and Python ints in an
+``object`` array past that, and each distinct key's text or ``Gate`` is
+made once and shared.  ``loads`` reads text in exactly that layout as
+arrays, with a few byte passes over the gate block instead of a JSON
+object tree, and keeps the circuit only if it dumps back to the same
+text; any other layout, and any document that is not a valid circuit,
+goes through ``from_dict``.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
@@ -95,6 +102,7 @@ _ARITY = np.array(_ARITIES, dtype=np.int8)
 _INVERSE_CODES = bytes(KIND_CODE[_INVERSE_KIND[kind]] for kind in _KINDS).ljust(256, b"\0")
 
 _MAX_WIDTH = 1 << 31  # int32 operands index at most 2^31 wires
+_SLICE = 4096  # gates whose keys ``_each_distinct`` works out at a time
 
 _T = TypeVar("_T")
 
@@ -398,9 +406,33 @@ class Circuit:
     def _each_distinct(self, make: Callable[[tuple[int, int, int, int]], _T]) -> Iterator[_T]:
         """``make((kind, a, b, c))`` of each gate, in order.  A circuit
         repeats a small vocabulary of gates many times over, so ``make`` runs
-        once per distinct gate and its result is shared."""
-        it = iter(self._ops)
-        return map(_Made(make).__getitem__, zip(self._kinds, it, it, it))
+        once per distinct gate and its result is shared.
+
+        Each gate is known by one integer, ``((kind*R + a+1)*R + b+1)*R + c+1``
+        with R the largest operand plus 2, worked out with numpy a slice of
+        ``_SLICE`` gates at a time as the iterator reaches it.  The keys are
+        ``int64`` while ``len(_KINDS) * R**3 < 2**63``, that is for operands
+        below about 2^20, and Python ints in an ``object`` array past that.
+        Gates never change once appended, so the iterator stays right if the
+        circuit grows; it yields the gates there were when it was made."""
+        n = len(self)
+        radix = int(np.frombuffer(self._ops, dtype=np.int32).max(initial=-1)) + 2
+        dtype = np.int64 if len(_KINDS) * radix**3 < 1 << 63 else object
+        look_up = _Made(make, radix).__getitem__
+        return chain.from_iterable(
+            map(look_up, self._keys(lo, min(n, lo + _SLICE), radix, dtype))
+            for lo in range(0, n, _SLICE)
+        )
+
+    def _keys(self, lo: int, hi: int, radix: int, dtype: type) -> list[int]:
+        """The keys of ``_each_distinct`` for gates ``lo:hi``.  The views of
+        the gate arrays end with the call: an ``array`` cannot grow while a
+        view of its buffer is alive."""
+        key = np.frombuffer(self._kinds, np.uint8, hi - lo, lo).astype(dtype)
+        ops = np.frombuffer(self._ops, np.int32, 3 * (hi - lo), 12 * lo).reshape(-1, 3)
+        for slot in ops.T:
+            key = key * radix + (slot + 1)
+        return key.tolist()
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the gate arrays: ``uint8`` kind codes (see ``KIND_CODE``)
@@ -529,14 +561,19 @@ def _expect(values: list, kind: type, where: str) -> list:
 
 
 class _Made(dict):
-    """``make(key)`` for each key looked up, made on its first lookup."""
+    """``make((kind, a, b, c))`` for each gate key of ``_each_distinct``
+    looked up, made on its first lookup."""
 
-    def __init__(self, make: Callable) -> None:
+    def __init__(self, make: Callable, radix: int) -> None:
         super().__init__()
         self.make = make
+        self.radix = radix
 
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
+    def __missing__(self, key: int):
+        rest, c = divmod(key, self.radix)
+        rest, b = divmod(rest, self.radix)
+        kind, a = divmod(rest, self.radix)
+        value = self[key] = self.make((kind, a - 1, b - 1, c - 1))
         return value
 
 

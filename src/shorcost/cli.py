@@ -13,12 +13,18 @@ Exit codes: 0 success / verification passed, 1 verification found a
 counterexample, 2 usage or parameter error, 3 file I/O error.  Results go
 to stdout, diagnostics to stderr, and identical invocations produce
 byte-identical output.
+
+The argument parser is built once per process, on the first ``run``, and
+every later ``run`` only parses with it.  Each subcommand's ``_cmd_*``
+function is bound into the parser when it is built, so a test that
+replaces behaviour patches the module globals those functions call, not
+the ``_cmd_*`` names themselves.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import math
 import re
@@ -195,7 +201,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             Path(args.emit_routed).write_text(routed.dumps())
         circ = routed
     m = metrics(circ)
-    print(json.dumps(dataclasses.asdict(m), indent=2))
+    print(json.dumps(vars(m), indent=2))
     return EXIT_OK
 
 
@@ -234,7 +240,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             )
         Path(args.csv).write_text("\n".join(lines) + "\n")
     else:
-        print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2))
+        print(json.dumps([vars(r) for r in rows], indent=2))
     return EXIT_OK
 
 
@@ -259,6 +265,7 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shorcost",

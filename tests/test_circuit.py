@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from shorcost.circuit import (
     GATE_ARITY,
+    KIND_CODE,
     Circuit,
     CircuitError,
     Gate,
@@ -402,3 +403,99 @@ def test_from_arrays_checks_the_batch():
     # the arrays handed out are copies
     ops[:] = 0
     assert c.gates[1].operands == (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# dumps and gates against the gate arrays
+
+_NAME_OF_CODE = {code: kind.value for kind, code in KIND_CODE.items()}
+_KIND_OF_CODE = {code: kind for kind, code in KIND_CODE.items()}
+
+
+def dumps_from_arrays(c):
+    """``dumps()`` as ``json.dumps`` writes the document built from
+    ``as_arrays()``, without ``gates`` or ``to_dict``."""
+    kinds, ops = c.as_arrays()
+    doc = {
+        "width": c.width,
+        "registers": [{"name": r.name, "offset": r.offset, "length": r.length}
+                      for r in c.registers],
+        "gates": [{"kind": _NAME_OF_CODE[k], "operands": [q for q in row if q >= 0]}
+                  for k, row in zip(kinds.tolist(), ops.tolist())],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def gates_from_arrays(c):
+    kinds, ops = c.as_arrays()
+    return tuple(Gate(_KIND_OF_CODE[k], tuple(q for q in row if q >= 0))
+                 for k, row in zip(kinds.tolist(), ops.tolist()))
+
+
+def assert_serialized_from_arrays(c):
+    assert c.dumps() == dumps_from_arrays(c)
+    assert c.gates == gates_from_arrays(c)
+
+
+@given(named_circuits())
+@settings(max_examples=100)
+def test_dumps_and_gates_match_the_arrays(c):
+    assert_serialized_from_arrays(c)
+
+
+# the largest operand whose gate keys still fit in int64: with R = operand + 2,
+# 6 * R**3 < 2**63 (see ``Circuit._each_distinct``)
+_LAST_INT64_OPERAND = max(r for r in range(1_150_000, 1_170_000) if 6 * r**3 < 1 << 63) - 2
+_TOP = (1 << 31) - 2  # the last wire of the widest circuit
+
+
+@st.composite
+def wide_circuits(draw):
+    """Circuits whose largest operand sits just inside or just past the
+    int64 edge of the gate keys, at 2^20, or on the top wire of the widest
+    circuit, next to gates on the low wires."""
+    top = draw(st.sampled_from([_LAST_INT64_OPERAND, _LAST_INT64_OPERAND + 1, 1 << 20, _TOP]))
+    wires = st.sampled_from([0, 1, 2, top - 2, top - 1, top])
+    c = Circuit(top + 1, [("top", top - 2, 3)])
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        ops = draw(st.lists(wires, min_size=GATE_ARITY[kind], max_size=GATE_ARITY[kind],
+                            unique=True))
+        c.append(Gate(kind, tuple(ops)))
+    return c
+
+
+@given(wide_circuits())
+@settings(max_examples=60)
+def test_dumps_and_gates_match_the_arrays_past_int64_keys(c):
+    assert_serialized_from_arrays(c)
+
+
+def _every_kind_on_the_top_wires():
+    c = Circuit(_TOP + 1, [("a", 0, 2), ("top", _TOP - 2, 3)])
+    c.x(_TOP).cx(0, _TOP).ccx(_TOP - 2, _TOP - 1, _TOP).swap(_TOP, 1)
+    return c.cv(_TOP - 1, _TOP).cvdag(_TOP, _TOP - 2).x(0).cx(_TOP, 0)
+
+
+@pytest.mark.parametrize("c", [
+    Circuit(1),
+    Circuit(3, [("r", 2, 1)]),
+    Circuit(_TOP + 1, [("r", _TOP, 1)]),
+    _every_kind_on_the_top_wires(),
+], ids=["empty", "empty-with-register", "empty-widest", "every-kind-widest"])
+def test_dumps_and_gates_of_fixed_circuits(c):
+    assert_serialized_from_arrays(c)
+    assert Circuit.loads(c.dumps()) == c
+
+
+def test_serializing_leaves_the_circuit_growable():
+    """No view of the gate arrays outlives ``dumps``, ``gates`` or the
+    conformance check: an ``array`` with a live view refuses to grow."""
+    from shorcost.architecture import NTC, check_conformance
+
+    c = Circuit(4).ccx(0, 1, 2).cx(2, 3)
+    for read in (Circuit.dumps, lambda c: c.gates, lambda c: check_conformance(c, NTC)):
+        read(c)
+        c.x(3)
+        c.append_circuit(Circuit(4).swap(0, 1))
+    assert len(c) == 8

@@ -343,3 +343,35 @@ def test_verify_and_estimate_reject_bad_documents(tmp_path, capsys, operands, wi
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    """Runs share one parser; a failed parse leaves nothing behind, so the
+    runs after it print what a first run prints."""
+    import shorcost.cli as cli
+
+    clock = ["clock-for", "--model", "bcdp", "--bits", "576", "--wall", "1mo"]
+    bad = ["clock-for", "--model", "bcdp", "--bits", "many"]
+
+    def outcome(argv):
+        return run(argv), capsys.readouterr()
+
+    cli._build_parser.cache_clear()
+    first_bad = outcome(bad)
+    cli._build_parser.cache_clear()
+    first_clock = outcome(clock)
+    assert first_clock == (0, ("3981.3 Hz\n", ""))
+    assert first_bad[0] == 2 and first_bad[1].out == ""
+    assert "invalid int value: 'many'" in first_bad[1].err
+
+    parser = cli._build_parser()
+    assert outcome(bad) == first_bad
+    assert outcome(clock) == first_clock
+    built = tmp_path / "c.json"
+    assert run(["build", "--kind", "modexp", "--n", "4", "--modulus", "13",
+                "--base", "2", "--out", str(built)]) == 0
+    estimates = [outcome(["estimate", "--circuit", str(built), "--arch", "ac"])
+                 for _ in range(2)]
+    assert estimates[0] == estimates[1]
+    assert estimates[0][0] == 0 and json.loads(estimates[0][1].out)["total_gates"] > 0
+    assert cli._build_parser() is parser

@@ -9,6 +9,7 @@ over all six gate kinds.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +100,19 @@ def ref_conformance(gates, model: ArchModel):
             return ConformanceReport(False, idx)
         if model.adjacency_required and len(ops) == 2 and abs(ops[0] - ops[1]) != 1:
             return ConformanceReport(False, idx)
+    return ConformanceReport(True, None)
+
+
+def copy_conformance(circuit, model: ArchModel):
+    """``check_conformance`` as it was before it read the gate arrays as
+    views: arity from the used operand slots of an ``as_arrays()`` copy."""
+    _, ops = circuit.as_arrays()
+    arity = (ops >= 0).sum(axis=1)  # an unused operand slot holds -1
+    bad = arity > model.max_arity
+    if model.adjacency_required:
+        bad |= (arity == 2) & (np.abs(ops[:, 0] - ops[:, 1]) != 1)
+    if bad.any():
+        return ConformanceReport(False, int(bad.argmax()))
     return ConformanceReport(True, None)
 
 
@@ -227,6 +241,18 @@ def test_inverse_census_and_conformance_match_reference(c):
     assert c.census() == ref_census(c.gates)
     for model in (AC, NTC):
         assert check_conformance(c, model) == ref_conformance(c.gates, model)
+
+
+@given(circuits(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_conformance_matches_the_copying_check(c, data):
+    # a routed circuit conforms to NTC; a few drawn gates after it can make
+    # a late first violation
+    routed = route_linear(decompose_toffoli(c))[0]
+    tail = Circuit(c.width).extend(data.draw(gate_lists(max_width=c.width, max_gates=3))[1])
+    for circuit in (c, routed, Circuit(c.width).append_circuit(routed).append_circuit(tail)):
+        for model in (AC, NTC, ArchModel("line of pairs", 2, False)):
+            assert check_conformance(circuit, model) == copy_conformance(circuit, model)
 
 
 @given(circuits())
