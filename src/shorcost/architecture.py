@@ -9,8 +9,9 @@ Two models are built in:
 
 Lowering to NTC means replacing each Toffoli by the standard five-gate
 two-qubit sequence over controlled-V gates and then inserting SWAP chains
-until every gate acts on neighbors.  Routing tracks the drifting layout
-and reports the final qubit-to-position permutation instead of undoing it.
+until every gate acts on neighbors; the router refuses Toffolis.  It
+tracks the drifting layout and reports the final qubit-to-position
+permutation instead of undoing it.
 """
 
 from __future__ import annotations
@@ -100,42 +101,31 @@ def decompose_toffoli(circuit: Circuit) -> Circuit:
 
 # Exact dyadic entries: V = sqrt(NOT), so V^2 = NOT and V V^dag = I.
 _V = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
-_VDAG = _V.conj().T
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
+_BLOCK = {GateKind.CV: _V, GateKind.CVDAG: _V.conj().T}  # any other kind: X
 
 
 def _gate_matrix(gate: Gate, width: int) -> np.ndarray:
-    """Unitary of one gate on ``width`` wires, basis bit i = wire i."""
+    """Unitary of one gate on ``width`` wires, basis bit i = wire i.
+
+    SWAP exchanges the bits of its two wires.  Every other kind applies a
+    2x2 block (X, V or V^dag) to its last operand wherever all earlier
+    operands, its controls, are 1; NOT is the case with no controls.
+    """
     dim = 1 << width
     m = np.zeros((dim, dim), dtype=complex)
-    ops = gate.operands
+    *controls, t = gate.operands
+    block = _BLOCK.get(gate.kind, _X)
     for col in range(dim):
-        if gate.kind is GateKind.NOT:
-            m[col ^ (1 << ops[0]), col] = 1
-        elif gate.kind is GateKind.CNOT:
-            c, t = ops
-            m[col ^ ((col >> c & 1) << t), col] = 1
-        elif gate.kind is GateKind.TOFFOLI:
-            c1, c2, t = ops
-            m[col ^ ((col >> c1 & col >> c2 & 1) << t), col] = 1
-        elif gate.kind is GateKind.SWAP:
-            i, j = ops
-            bi, bj = col >> i & 1, col >> j & 1
-            row = col
-            if bi != bj:
-                row ^= (1 << i) | (1 << j)
-            m[row, col] = 1
-        elif gate.kind in (GateKind.CV, GateKind.CVDAG):
-            c, t = ops
-            block = _V if gate.kind is GateKind.CV else _VDAG
-            if not col >> c & 1:
-                m[col, col] = 1
-            else:
-                tb = col >> t & 1
-                m[col, col] = block[tb, tb]
-                m[col ^ (1 << t), col] = block[tb ^ 1, tb]
-        else:  # pragma: no cover - kinds are exhaustive
-            raise CircuitError(f"no matrix for {gate.kind}")
+        if gate.kind is GateKind.SWAP:
+            i, j = gate.operands
+            m[col ^ ((col >> i ^ col >> j) & 1) * (1 << i | 1 << j), col] = 1
+        elif all(col >> c & 1 for c in controls):
+            tb = col >> t & 1
+            m[col, col] = block[tb, tb]
+            m[col ^ 1 << t, col] = block[tb ^ 1, tb]
+        else:
+            m[col, col] = 1
     return m
 
 
@@ -185,22 +175,26 @@ class LayoutPermutation:
 def route_linear(circuit: Circuit) -> tuple[Circuit, LayoutPermutation]:
     """Insert SWAP chains so every gate acts on neighboring line positions.
 
+    Takes gates of one or two operands; run ``decompose_toffoli`` first.
     Initial layout is the identity (qubit i at position i, registers in
     declared order).  For a two-qubit gate at positions p < q the qubit at
-    p marches right one SWAP at a time until it sits beside q; a Toffoli
-    is made contiguous by marching its outer operands toward the middle
-    one.  The layout drifts, and the final permutation is returned with
-    the routed circuit; emitted operands are line positions.  Nothing is
-    inserted for already-adjacent operands.
+    p marches right one SWAP at a time until it sits beside q.  The layout
+    drifts, and the final permutation is returned with the routed circuit;
+    emitted operands are line positions.  Nothing is inserted for
+    already-adjacent operands.
 
     Each emitted gate is scheduled ASAP (see ``scheduler``) as it is
     emitted, and the returned circuit carries those steps, so ``metrics``
     and ``asap_schedule`` of it do not walk its gates again.
     """
-    pos = list(range(circuit.width))  # qubit -> position
-    holder = list(range(circuit.width))  # position -> qubit
-    ready = [0] * circuit.width  # position -> first free timestep
     kinds_in, ops_in = circuit.as_arrays()
+    three = np.flatnonzero(ops_in[:, 2] >= 0)  # an unused operand slot holds -1
+    if three.size:
+        raise CircuitError(f"gates[{three[0]}]: cannot route a TOFFOLI; run decompose_toffoli first")
+    used = int(ops_in.max(initial=-1)) + 1  # the wires above never move
+    pos = list(range(used))  # qubit -> position
+    holder = list(range(used))  # position -> qubit
+    ready = [0] * used  # position -> first free timestep
     # one entry per emitted gate: the lower position of a SWAP, or -1 for
     # the next input gate, whose operand positions go to ``ops``
     order: list[int] = []
@@ -208,26 +202,22 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, LayoutPermutation]:
     steps = array("i")
     mark, emit_ops, place = order.append, ops.extend, steps.append
 
-    # An unused operand slot holds -1.  A gate's outer operands march to
-    # either side of its middle one (for two operands, the upper one).
-    # The marching qubit carries its ready time t: each SWAP it makes
-    # lands at t, or later if the position ahead is busy, and leaves the
-    # position behind it ready one step later.
-    for a, b, c in zip(*ops_in.T.tolist()):
+    # The lower operand marches up to the upper one, carrying its ready
+    # time t: each SWAP it makes lands at t, or later if the position
+    # ahead is busy, and leaves the position behind it ready one step later.
+    for a, b in zip(*ops_in[:, :2].T.tolist()):
         if b < 0:
-            lo = mid = pos[a]
+            lo = hi = pos[a]
             t = ready[lo]
             emit_ops((lo, -1, -1))
         else:
-            lo, mid = pos[a], pos[b]
-            if lo > mid:
-                lo, mid = mid, lo
-            if c >= 0:
-                lo, mid, hi = sorted((lo, mid, pos[c]))
+            lo, hi = pos[a], pos[b]
+            if lo > hi:
+                lo, hi = hi, lo
             t = ready[lo]
-            if mid - lo > 1:
+            if hi - lo > 1:
                 qubit = holder[lo]
-                while mid - lo > 1:
+                while hi - lo > 1:
                     ahead = lo + 1
                     if ready[ahead] > t:
                         t = ready[ahead]
@@ -240,32 +230,10 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, LayoutPermutation]:
                     lo = ahead
                 holder[lo] = qubit
                 pos[qubit] = lo
-            if ready[mid] > t:
-                t = ready[mid]
-            if c >= 0:
-                u = ready[hi]
-                if hi - mid > 1:
-                    qubit = holder[hi]
-                    while hi - mid > 1:
-                        ahead = hi - 1
-                        if ready[ahead] > u:
-                            u = ready[ahead]
-                        moved = holder[hi] = holder[ahead]
-                        pos[moved] = hi
-                        mark(ahead)
-                        place(u)
-                        u += 1
-                        ready[hi] = u
-                        hi = ahead
-                    holder[hi] = qubit
-                    pos[qubit] = hi
-                if u > t:
-                    t = u
-                ready[hi] = t + 1
-                emit_ops((pos[a], pos[b], pos[c]))
-            else:
-                emit_ops((pos[a], pos[b], -1))
-        ready[lo] = ready[mid] = t + 1
+            if ready[hi] > t:
+                t = ready[hi]
+            emit_ops((pos[a], pos[b], -1))
+        ready[lo] = ready[hi] = t + 1
         mark(-1)
         place(t)
 
@@ -281,4 +249,4 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, LayoutPermutation]:
     routed = Circuit(circuit.width, circuit.registers)
     routed._extend_raw(kinds, routed_ops.reshape(-1).view(np.uint8))  # valid by construction
     routed._steps = steps
-    return routed, LayoutPermutation(tuple(pos))
+    return routed, LayoutPermutation((*pos, *range(used, circuit.width)))

@@ -212,8 +212,6 @@ def crossover_bits(
         lo = hi
     else:
         return None
-    if not wins(hi):
-        return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if wins(mid):

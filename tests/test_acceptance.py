@@ -10,6 +10,8 @@ helpers from the other test modules.
 import math
 import random
 
+import numpy as np
+
 from shorcost import (
     ALG_D,
     ALG_F,
@@ -20,6 +22,7 @@ from shorcost import (
     AdderKind,
     Circuit,
     ClassicalModel,
+    GateKind,
     ModexpSpec,
     build_adder,
     build_const_modadd,
@@ -37,6 +40,7 @@ from shorcost import (
     route_linear,
     verify_toffoli_identity,
 )
+from shorcost.circuit import KIND_CODE
 from shorcost.cli import run
 from shorcost.oracle import simulate_mask
 
@@ -266,20 +270,34 @@ def test_acceptance_7_linear_architecture():
     _expect(problems, ntc_depth > ac_depth,
             f"line depth {ntc_depth} not above unconstrained depth {ac_depth}")
 
-    # route the Toffoli-bearing adder as-is so both sides stay simulable
-    adder = build_adder(AdderKind.CDKM_RIPPLE, 4)
-    routed_adder, perm = route_linear(adder)
+    # route a classical stand-in of the lowered adder (CV and CVDAG read as
+    # CNOT): the router reads only operands, so it routes as the lowering
+    # does, and both sides stay simulable
+    lowered = decompose_toffoli(build_adder(AdderKind.CDKM_RIPPLE, 4))
+    kinds, ops = lowered.as_arrays()
+    kinds[np.isin(kinds, [KIND_CODE[GateKind.CV], KIND_CODE[GateKind.CVDAG]])] = (
+        KIND_CODE[GateKind.CNOT]
+    )
+    stand_in = Circuit.from_arrays(lowered.width, lowered.registers, kinds, ops)
+    routed_adder, perm = route_linear(stand_in)
+    (got_kinds, got_ops), (want_kinds, want_ops) = (
+        routed_adder.as_arrays(), route_linear(lowered)[0].as_arrays()
+    )
+    swap = KIND_CODE[GateKind.SWAP]
+    _expect(problems, np.array_equal(got_ops, want_ops)
+            and np.array_equal(got_kinds == swap, want_kinds == swap),
+            "the stand-in adder routes differently from its lowering")
     ok = True
-    for mask in range(1 << adder.width):
-        want = simulate_mask(adder, mask)
+    for mask in range(1 << stand_in.width):
+        want = simulate_mask(stand_in, mask)
         got_positions = simulate_mask(routed_adder, mask)  # input layout is identity
         got = 0
-        for q in range(adder.width):
+        for q in range(stand_in.width):
             got |= ((got_positions >> perm.forward[q]) & 1) << q
         if got != want:
             ok = False
             break
-    _expect(problems, ok, "routed ripple adder disagrees with the flat one")
+    _expect(problems, ok, "routed stand-in adder disagrees with the flat one")
 
     _verdict(7, "linear-array routing and decomposition", problems)
 

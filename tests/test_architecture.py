@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from shorcost.architecture import (
     AC,
     NTC,
     LayoutPermutation,
+    _gate_matrix,
     _sequence_matrix,
     check_conformance,
     decompose_toffoli,
@@ -12,7 +16,7 @@ from shorcost.architecture import (
     verify_toffoli_identity,
 )
 from shorcost.arithmetic import AdderKind, build_adder
-from shorcost.circuit import Circuit, Gate, GateKind
+from shorcost.circuit import GATE_ARITY, KIND_CODE, Circuit, CircuitError, Gate, GateKind
 from shorcost.oracle import simulate_mask
 from shorcost.scheduler import asap_schedule
 
@@ -66,6 +70,28 @@ def test_decomposition_leaves_other_gates_alone():
     assert len(dec) == 2 + 5
 
 
+@pytest.mark.parametrize(
+    "kind", [GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP]
+)
+def test_classical_gate_matrix_is_the_simulated_permutation(kind):
+    for operands in permutations(range(4), GATE_ARITY[kind]):
+        gate = Gate(kind, operands)
+        one = Circuit(4).append(gate)
+        want = np.zeros((16, 16))
+        for col in range(16):
+            want[simulate_mask(one, col), col] = 1
+        assert np.array_equal(_gate_matrix(gate, 4), want), operands
+
+
+def test_controlled_v_squares_to_cnot():
+    for c, t in permutations(range(3), 2):
+        cv, cvdag = Gate(GateKind.CV, (c, t)), Gate(GateKind.CVDAG, (c, t))
+        cnot = _gate_matrix(Gate(GateKind.CNOT, (c, t)), 3)
+        assert np.array_equal(_sequence_matrix([cv, cv], 3), cnot)
+        assert np.array_equal(_sequence_matrix([cvdag, cvdag], 3), cnot)
+        assert np.array_equal(_sequence_matrix([cv, cvdag], 3), np.eye(8))
+
+
 def test_mutated_decomposition_fails_matrix_check():
     """The exact-matrix harness must reject an off-by-one-gate sequence."""
     good = decompose_toffoli(Circuit(3).ccx(0, 1, 2)).gates
@@ -98,15 +124,31 @@ def test_route_adjacent_gate_needs_no_swaps():
     assert perm.forward == (0, 1, 2, 3)
 
 
-def test_route_toffoli_gathers_contiguously():
-    c = Circuit(5).ccx(0, 2, 4)
+def test_route_refuses_toffolis():
+    with pytest.raises(CircuitError, match=r"gates\[0\]: .*run decompose_toffoli first"):
+        route_linear(Circuit(5).ccx(0, 2, 4))
+    with pytest.raises(CircuitError, match=r"gates\[2\]: .*decompose_toffoli"):
+        route_linear(Circuit(5).cx(0, 4).x(1).ccx(0, 2, 4).ccx(1, 2, 3))
+
+
+def _peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_router_state_is_sized_by_the_wires_in_use():
+    width = 1 << 18
+    c = Circuit(width).cx(0, 3)
     routed, perm = route_linear(c)
-    toff = [g for g in routed.gates if g.kind is GateKind.TOFFOLI]
-    assert len(toff) == 1
-    pos = sorted(toff[0].operands)
-    assert pos[1] - pos[0] == 1 and pos[2] - pos[1] == 1
-    # everything before it is movement
-    assert all(g.kind is GateKind.SWAP for g in routed.gates[:-1])
+    assert perm.forward[:4] == (2, 0, 1, 3) and perm.forward[4:] == tuple(range(4, width))
+    assert [g.kind for g in routed.gates] == [GateKind.SWAP, GateKind.SWAP, GateKind.CNOT]
+    # the width-long layout is all that grows with the declared width
+    layout_alone = _peak(lambda: LayoutPermutation(tuple(range(width))))
+    assert _peak(lambda: route_linear(c)) <= layout_alone + (1 << 20)
 
 
 def test_layout_permutation_validation():
@@ -116,11 +158,30 @@ def test_layout_permutation_validation():
     assert p.position(0) == 2
 
 
+def classical_stand_in(lowered):
+    """``lowered`` with CV and CVDAG relabelled CNOT: the same operands, so
+    the same routing, but a circuit ``simulate_mask`` can run."""
+    kinds, ops = lowered.as_arrays()
+    kinds[np.isin(kinds, [KIND_CODE[GateKind.CV], KIND_CODE[GateKind.CVDAG]])] = (
+        KIND_CODE[GateKind.CNOT]
+    )
+    return Circuit.from_arrays(lowered.width, lowered.registers, kinds, ops)
+
+
 def _routed_equivalent(circuit):
-    """Simulate original and routed circuits; compare modulo the layout."""
-    routed, perm = route_linear(circuit)
+    """Route the classical stand-in of ``circuit``'s lowering; simulate it
+    before and after routing and compare modulo the layout."""
+    lowered = decompose_toffoli(circuit)
+    stand_in = classical_stand_in(lowered)
+    routed, perm = route_linear(stand_in)
+    real, real_perm = route_linear(lowered)
+    # the router reads only operands: the stand-in routes as the lowering does
+    (kinds, ops), (real_kinds, real_ops) = routed.as_arrays(), real.as_arrays()
+    swap = KIND_CODE[GateKind.SWAP]
+    assert np.array_equal(ops, real_ops) and np.array_equal(kinds == swap, real_kinds == swap)
+    assert perm == real_perm
     for mask in range(1 << circuit.width):
-        want = simulate_mask(circuit, mask)
+        want = simulate_mask(stand_in, mask)
         got_positions = simulate_mask(routed, mask)  # input layout is identity
         got = 0
         for q in range(circuit.width):

@@ -42,6 +42,25 @@ def test_bad_construction_rejected(width, regs):
         Circuit(width, regs)
 
 
+@pytest.mark.parametrize(
+    "width,regs,message",
+    [
+        (3, [("a", 0, 2), ("b", 1, 2)], "'b' overlaps another register"),
+        (2, [("a", 1, 2)], "'a' exceeds width 2"),
+        (3, [("a", 0, 1), ("a", 1, 1)], "duplicate register name 'a'"),
+        (0, [], r"width must be in \[1, 2\^31\), got 0"),
+    ],
+)
+def test_bad_construction_message(width, regs, message):
+    with pytest.raises(CircuitError, match=message):
+        Circuit(width, regs)
+
+
+def test_gate_kind_must_be_a_gate_kind():
+    with pytest.raises(CircuitError, match="unknown gate kind 'CNOT'"):
+        Gate("CNOT", (0, 1))
+
+
 def test_register_length_must_be_positive():
     with pytest.raises(CircuitError):
         Register("z", 0, 0)

@@ -133,6 +133,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "x.json")]) == 2  # missing modulus/base
     assert run(["clock-for", "--model", "nosuch", "--bits", "64",
                 "--wall", "1mo"]) == 2
+    capsys.readouterr()
+    assert run(["clock-for", "--model", "bcdp", "--bits", "64", "--wall", "1e"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot parse wall time '1e'" in captured.err
     assert run(["build", "--kind", "modexp", "--n", "4", "--modulus", "15",
                 "--base", "7", "--mult", "3",
                 "--out", str(tmp_path / "y.json")]) == 2  # s is 1 or 2
@@ -185,6 +189,18 @@ def test_verify_exhaustive_counts_cases_past_2_to_63(tmp_path, capsys, monkeypat
     assert run(["build", "--kind", "adder", "--n", "40", "--out", str(out)]) == 0
     assert run(["verify", "--circuit", str(out), "--spec", "adder", "--exhaustive"]) == 0
     assert json.loads(capsys.readouterr().out) == {"result": "pass", "cases": 1 << 81}
+
+
+def test_estimate_ntc_exits_2_if_routing_leaves_a_violation(tmp_path, capsys, monkeypatch):
+    import shorcost.cli as cli
+
+    built = tmp_path / "a.json"
+    assert run(["build", "--kind", "adder", "--n", "3", "--out", str(built)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "route_linear", lambda circ: (circ, None))
+    assert run(["estimate", "--circuit", str(built), "--arch", "ntc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "routing failed to produce an NTC circuit" in captured.err
 
 
 def test_clock_for_rejects_infinite_wall(capsys):

@@ -146,6 +146,16 @@ def test_randomized_check_deterministic_and_vacuous():
     assert first is not None
 
 
+def test_randomized_check_rejects_bad_trials_and_empty_domains():
+    c = Circuit(2, [("a", 0, 1), ("b", 1, 1)]).cx(0, 1)
+    with pytest.raises(CircuitError, match="trials must be non-negative"):
+        randomized_check(c, _xor_spec(c), {"a": range(2), "b": range(2)}, trials=-1, seed=0)
+    empty = {"a": range(0), "b": range(2)}
+    with pytest.raises(CircuitError, match="cannot sample from an empty value sequence"):
+        randomized_check(c, _xor_spec(c), empty, trials=4, seed=0)
+    assert randomized_check(c, _xor_spec(c), empty, trials=0, seed=0) is None
+
+
 def test_wide_circuit_simulation():
     """Packing must survive register boundaries beyond one 64-bit word."""
     c = Circuit(80, [("lo", 0, 40), ("hi", 40, 40)])

@@ -73,6 +73,10 @@ def test_quantum_validation():
         quantum_seconds(BCDP, 576, 0.0)
     with pytest.raises(ValueError):
         required_clock(BCDP, 576, -5.0)
+    with pytest.raises(ValueError, match="at least 2, got 1"):
+        required_clock(BCDP, 1, MONTH_SECONDS)
+    with pytest.raises(ValueError, match="at least 2, got 1"):
+        speedup(BCDP, ALG_D, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +118,11 @@ def test_nfs_validation():
 def test_crossover_at_4khz_is_below_576():
     n = crossover_bits(BCDP, 4000.0)
     assert n is not None and n <= 576
+
+
+def test_crossover_at_the_low_end_of_the_range():
+    # a fast enough clock wins at the smallest size scanned
+    assert crossover_bits(ALG_D, 1e15) == 8
 
 
 def test_crossover_none_when_clock_vanishes():

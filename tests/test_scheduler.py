@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 
-from shorcost.architecture import route_linear
+from shorcost.architecture import decompose_toffoli, route_linear
 from shorcost.circuit import GATE_ARITY, Circuit, Gate, GateKind
 from shorcost.scheduler import asap_schedule, metrics
 
@@ -127,7 +127,7 @@ def test_every_mutator_drops_the_kept_steps():
     adding gates must drop them, so the next schedule matches a copy that
     never kept any."""
     rng = random.Random(11)
-    c, _ = route_linear(_random_circuit(rng, 6, 40))  # routed: steps kept already
+    c, _ = route_linear(decompose_toffoli(_random_circuit(rng, 6, 40)))  # steps kept already
     other = _random_circuit(rng, 6, 10)
     mutators = [
         lambda c: c.x(0),
