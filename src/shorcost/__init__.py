@@ -14,7 +14,6 @@ from .architecture import (
     NTC,
     ArchModel,
     ConformanceReport,
-    LayoutPermutation,
     check_conformance,
     decompose_toffoli,
     route_linear,
@@ -57,7 +56,7 @@ from .scaling import (
     series,
     speedup,
 )
-from .scheduler import Metrics, Schedule, asap_schedule, metrics
+from .scheduler import Metrics, metrics
 
 __version__ = "0.1.0"
 
@@ -76,7 +75,6 @@ __all__ = [
     "Counterexample",
     "Gate",
     "GateKind",
-    "LayoutPermutation",
     "MODELS",
     "MONTH_SECONDS",
     "Metrics",
@@ -85,10 +83,8 @@ __all__ = [
     "NonClassicalGateError",
     "QuantumModel",
     "Register",
-    "Schedule",
     "SeriesRow",
     "YEAR_SECONDS",
-    "asap_schedule",
     "build_adder",
     "build_const_modadd",
     "build_controlled_adder",

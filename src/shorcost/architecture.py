@@ -10,8 +10,8 @@ Two models are built in:
 Lowering to NTC means replacing each Toffoli by the standard five-gate
 two-qubit sequence over controlled-V gates and then inserting SWAP chains
 until every gate acts on neighbors; the router refuses Toffolis.  It
-tracks the drifting layout and reports the final qubit-to-position
-permutation instead of undoing it.
+tracks the drifting layout and returns the final line position of each
+wire in use instead of undoing it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "check_conformance",
     "decompose_toffoli",
     "verify_toffoli_identity",
-    "LayoutPermutation",
     "route_linear",
 ]
 
@@ -158,34 +157,23 @@ def verify_toffoli_identity() -> bool:
 # -- linear routing ----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class LayoutPermutation:
-    """Forward map: logical qubit index -> final line position."""
-
-    forward: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.forward) != list(range(len(self.forward))):
-            raise CircuitError("forward map is not a permutation")
-
-    def position(self, qubit: int) -> int:
-        return self.forward[qubit]
-
-
-def route_linear(circuit: Circuit) -> tuple[Circuit, LayoutPermutation]:
+def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     """Insert SWAP chains so every gate acts on neighboring line positions.
 
     Takes gates of one or two operands; run ``decompose_toffoli`` first.
     Initial layout is the identity (qubit i at position i, registers in
     declared order).  For a two-qubit gate at positions p < q the qubit at
     p marches right one SWAP at a time until it sits beside q.  The layout
-    drifts, and the final permutation is returned with the routed circuit;
-    emitted operands are line positions.  Nothing is inserted for
+    drifts; emitted operands are line positions.  Nothing is inserted for
     already-adjacent operands.
 
+    Returns the routed circuit and the layout: the final line position of
+    each wire from 0 to the highest operand.  Wires at or above
+    ``len(layout)`` never move, so each ends where it began.
+
     Each emitted gate is scheduled ASAP (see ``scheduler``) as it is
-    emitted, and the returned circuit carries those steps, so ``metrics``
-    and ``asap_schedule`` of it do not walk its gates again.
+    emitted, and the returned circuit keeps those steps, so ``metrics`` of
+    it walks no gates again.
     """
     kinds_in, ops_in = circuit.as_arrays()
     three = np.flatnonzero(ops_in[:, 2] >= 0)  # an unused operand slot holds -1
@@ -249,4 +237,4 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, LayoutPermutation]:
     routed = Circuit(circuit.width, circuit.registers)
     routed._extend_raw(kinds, routed_ops.reshape(-1).view(np.uint8))  # valid by construction
     routed._steps = steps
-    return routed, LayoutPermutation((*pos, *range(used, circuit.width)))
+    return routed, tuple(pos)

@@ -16,9 +16,10 @@ at a time.  ``invert_span`` and ``append_circuit`` only copy gates that
 were checked when they entered, and the lowering passes hand the gates
 they compute from a valid circuit to ``_extend_raw``, so none of these
 checks anything again.  ``Circuit.gates`` is a read-only tuple of
-``Gate`` values, built on access.  A circuit also keeps the ASAP timestep
-of each gate once the scheduler or the router has worked it out.  Every
-mutation drops both the snapshot and the timesteps.
+``Gate`` values, built on access.  A circuit that ``route_linear``
+returns also keeps the ASAP timestep of each gate, which the router
+works out as it routes; no other code writes them.  Every mutation drops
+both the snapshot and the timesteps.
 
 Gate order is execution order.  There is no DAG here; data dependencies
 are recovered by the scheduler from operand overlap.
@@ -229,8 +230,9 @@ class Circuit:
         self._kinds = array("B")
         self._ops = array("i")
         self._view: tuple[Gate, ...] | None = ()
-        # ASAP timestep of each gate (see ``scheduler``); None until known
-        self._steps: array | None = array("i")
+        # ASAP timestep of each gate, kept by ``route_linear`` only (see
+        # ``scheduler``); None on any other circuit
+        self._steps: array | None = None
 
     def _check_registers(self) -> None:
         seen: set[str] = set()

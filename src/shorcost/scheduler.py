@@ -5,10 +5,11 @@ and concurrency is unlimited.  A gate is placed at one step past the
 latest conflicting predecessor, so depth equals the longest path through
 the qubit-conflict DAG.  Ties follow circuit order.
 
-The step of every gate is worked out once per circuit and kept on it, as
-an ``int32`` array, until the circuit is next mutated.  ``route_linear``
-fills that memo while it routes, so ``metrics`` and ``asap_schedule`` of a
-routed circuit walk no gates in Python.
+``metrics`` is the one scheduling entry point.  ``route_linear`` works
+out the step of every gate it emits while it routes and the routed
+circuit keeps them, as an ``int32`` array, until it is next mutated;
+``metrics`` of such a circuit walks no gates in Python.  Any other
+circuit is walked once per call, and nothing is kept on it.
 """
 
 from __future__ import annotations
@@ -20,18 +21,7 @@ import numpy as np
 
 from .circuit import Circuit
 
-__all__ = ["Schedule", "Metrics", "asap_schedule", "metrics"]
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Gate indices grouped by timestep, in execution order."""
-
-    timesteps: tuple[tuple[int, ...], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.timesteps)
+__all__ = ["Metrics", "metrics"]
 
 
 @dataclass(frozen=True)
@@ -43,19 +33,10 @@ class Metrics:
     mean_concurrency: float
 
 
-def _asap_steps(circuit: Circuit) -> np.ndarray:
-    """Timestep of each gate under greedy as-soon-as-possible placement:
-    a read-only ``int32`` view of the steps the circuit keeps, worked out
-    on first use."""
-    if circuit._steps is None:
-        circuit._steps = _walk_steps(circuit)
-    steps = np.frombuffer(circuit._steps, dtype=np.int32)
-    steps.flags.writeable = False
-    return steps
-
-
 def _walk_steps(circuit: Circuit) -> array:
-    """``ready[q]`` is the first step at which wire q is free; a gate lands
+    """Timestep of each gate under greedy as-soon-as-possible placement.
+
+    ``ready[q]`` is the first step at which wire q is free; a gate lands
     at the max over its operands and pushes all of them one step past
     itself.  ``ready`` stops at the highest wire a gate touches, so a
     large declared width costs nothing by itself."""
@@ -79,17 +60,10 @@ def _walk_steps(circuit: Circuit) -> array:
     return steps
 
 
-def asap_schedule(circuit: Circuit) -> Schedule:
-    """Greedy as-soon-as-possible placement; ties follow circuit order."""
-    steps = _asap_steps(circuit)
-    order = np.argsort(steps, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(steps)).tolist()
-    return Schedule(tuple(tuple(order[i:j]) for i, j in zip([0, *ends], ends)))
-
-
 def metrics(circuit: Circuit) -> Metrics:
     """Depth/width/concurrency summary of a circuit under ASAP scheduling."""
-    per_step = np.bincount(_asap_steps(circuit))
+    steps = circuit._steps if circuit._steps is not None else _walk_steps(circuit)
+    per_step = np.bincount(np.frombuffer(steps, dtype=np.int32))
     total = len(circuit)
     depth = len(per_step)
     max_conc = int(per_step.max(initial=0))

@@ -7,7 +7,6 @@ import pytest
 from shorcost.architecture import (
     AC,
     NTC,
-    LayoutPermutation,
     _gate_matrix,
     _sequence_matrix,
     check_conformance,
@@ -18,7 +17,7 @@ from shorcost.architecture import (
 from shorcost.arithmetic import AdderKind, build_adder
 from shorcost.circuit import GATE_ARITY, KIND_CODE, Circuit, CircuitError, Gate, GateKind
 from shorcost.oracle import simulate_mask
-from shorcost.scheduler import asap_schedule
+from shorcost.scheduler import metrics
 
 
 def test_arch_constants():
@@ -113,7 +112,7 @@ def test_route_distant_cnot_costs_two_swaps():
     routed, perm = route_linear(c)
     kinds = [g.kind for g in routed.gates]
     assert kinds == [GateKind.SWAP, GateKind.SWAP, GateKind.CNOT]
-    assert asap_schedule(routed).depth == 3
+    assert metrics(routed).depth == 3
     assert check_conformance(routed, NTC).conforms
 
 
@@ -121,7 +120,7 @@ def test_route_adjacent_gate_needs_no_swaps():
     c = Circuit(4).cx(2, 1).cx(2, 3)
     routed, perm = route_linear(c)
     assert [g.kind for g in routed.gates] == [GateKind.CNOT, GateKind.CNOT]
-    assert perm.forward == (0, 1, 2, 3)
+    assert perm == (0, 1, 2, 3)
 
 
 def test_route_refuses_toffolis():
@@ -141,21 +140,12 @@ def _peak(build):
 
 
 def test_router_state_is_sized_by_the_wires_in_use():
-    width = 1 << 18
-    c = Circuit(width).cx(0, 3)
-    routed, perm = route_linear(c)
-    assert perm.forward[:4] == (2, 0, 1, 3) and perm.forward[4:] == tuple(range(4, width))
+    c = Circuit(1 << 18).cx(0, 3)
+    routed, layout = route_linear(c)
+    assert layout == (2, 0, 1, 3)  # the wires above 3 never move
     assert [g.kind for g in routed.gates] == [GateKind.SWAP, GateKind.SWAP, GateKind.CNOT]
-    # the width-long layout is all that grows with the declared width
-    layout_alone = _peak(lambda: LayoutPermutation(tuple(range(width))))
-    assert _peak(lambda: route_linear(c)) <= layout_alone + (1 << 20)
-
-
-def test_layout_permutation_validation():
-    with pytest.raises(Exception):
-        LayoutPermutation(forward=(0, 0, 1))
-    p = LayoutPermutation(forward=(2, 0, 1))
-    assert p.position(0) == 2
+    # nothing the router keeps or returns grows with the declared width
+    assert _peak(lambda: route_linear(c)) < 1 << 20
 
 
 def classical_stand_in(lowered):
@@ -183,10 +173,9 @@ def _routed_equivalent(circuit):
     for mask in range(1 << circuit.width):
         want = simulate_mask(stand_in, mask)
         got_positions = simulate_mask(routed, mask)  # input layout is identity
-        got = 0
-        for q in range(circuit.width):
-            if got_positions >> perm.forward[q] & 1:
-                got |= 1 << q
+        got = got_positions >> len(perm) << len(perm)  # the wires above never move
+        for q, p in enumerate(perm):
+            got |= (got_positions >> p & 1) << q
         if got != want:
             return False
     return True

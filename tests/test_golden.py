@@ -139,7 +139,7 @@ def test_built_and_routed_bytes_are_pinned(name):
     routed, layout = route_linear(decompose_toffoli(circuit))
     assert _sha256(circuit.dumps()) == GOLDEN[name]
     assert _sha256(routed.dumps()) == GOLDEN[f"{name}-ntc"]
-    assert _sha256(json.dumps(list(layout.forward))) == GOLDEN[f"{name}-layout"]
+    assert _sha256(json.dumps(list(layout))) == GOLDEN[f"{name}-layout"]
 
 
 @pytest.mark.parametrize("name", sorted(BUILT_ONLY))

@@ -25,7 +25,7 @@ from shorcost.architecture import (
 )
 from shorcost.circuit import GATE_ARITY, Circuit, CircuitError, Gate, GateKind
 from shorcost.oracle import NonClassicalGateError, simulate_mask
-from shorcost.scheduler import Metrics, Schedule, asap_schedule, metrics
+from shorcost.scheduler import Metrics, _walk_steps, metrics
 
 # ---------------------------------------------------------------------------
 # per-gate references
@@ -107,26 +107,25 @@ def copy_conformance(circuit, model: ArchModel):
 
 
 def ref_schedule(gates, width):
+    """ASAP timestep of each gate."""
     ready = [0] * width
     steps = []
-    for idx, g in enumerate(gates):
+    for g in gates:
         t = max(ready[q] for q in g.operands)
-        if t == len(steps):
-            steps.append([])
-        steps[t].append(idx)
+        steps.append(t)
         for q in g.operands:
             ready[q] = t + 1
-    return Schedule(tuple(tuple(s) for s in steps))
+    return steps
 
 
 def ref_metrics(gates, width):
-    sched = ref_schedule(gates, width)
-    depth = sched.depth
+    steps = ref_schedule(gates, width)
+    depth = max(steps, default=-1) + 1
     return Metrics(
         depth=depth,
         total_gates=len(gates),
         width=width,
-        max_concurrency=max((len(s) for s in sched.timesteps), default=0),
+        max_concurrency=max((steps.count(t) for t in range(depth)), default=0),
         mean_concurrency=len(gates) / depth if depth else 0.0,
     )
 
@@ -206,7 +205,10 @@ def test_lowering_matches_reference(c):
     routed, layout = route_linear(decomposed)
     want_gates, want_layout = ref_route(decomposed.gates, c.width)
     assert list(routed.gates) == want_gates
-    assert layout.forward == want_layout
+    # the layout stops at the highest wire in use; the wires above never move
+    used = max((q for g in decomposed.gates for q in g.operands), default=-1) + 1
+    assert layout == want_layout[:used]
+    assert want_layout[used:] == tuple(range(used, c.width))
     assert check_conformance(routed, NTC) == ConformanceReport(True, None)
     for out in (decomposed, routed):
         assert_passes_the_entry_check(out)
@@ -242,9 +244,11 @@ def test_conformance_matches_the_copying_check(c, data):
 @given(circuits())
 @settings(max_examples=80, deadline=None)
 def test_schedule_and_metrics_match_reference(c):
-    # the router schedules as it routes
-    for circuit in (c, route_linear(decompose_toffoli(c))[0]):
-        assert asap_schedule(circuit) == ref_schedule(circuit.gates, circuit.width)
+    # the router schedules as it routes and keeps the steps; any other
+    # circuit is walked
+    routed = route_linear(decompose_toffoli(c))[0]
+    for circuit, steps in ((c, _walk_steps(c)), (routed, routed._steps)):
+        assert list(steps) == ref_schedule(circuit.gates, circuit.width)
         assert metrics(circuit) == ref_metrics(circuit.gates, circuit.width)
 
 

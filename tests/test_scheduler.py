@@ -3,7 +3,7 @@ import tracemalloc
 
 from shorcost.architecture import decompose_toffoli, route_linear
 from shorcost.circuit import GATE_ARITY, Circuit, Gate, GateKind
-from shorcost.scheduler import asap_schedule, metrics
+from shorcost.scheduler import _walk_steps, metrics
 
 
 def longest_path_depth(circuit):
@@ -20,20 +20,17 @@ def longest_path_depth(circuit):
 
 def test_disjoint_pair_shares_a_timestep():
     c = Circuit(4).cx(0, 1).cx(2, 3).cx(1, 2)
-    sched = asap_schedule(c)
-    assert sched.depth == 2
-    assert [len(ts) for ts in sched.timesteps] == [2, 1]
+    assert list(_walk_steps(c)) == [0, 0, 1]
+    assert metrics(c).depth == 2
 
 
 def test_serial_chain():
     c = Circuit(1).x(0).x(0).x(0)
-    assert asap_schedule(c).depth == 3
+    assert metrics(c).depth == 3
 
 
 def test_empty_circuit():
-    sched = asap_schedule(Circuit(2))
-    assert sched.depth == 0
-    assert sched.timesteps == ()
+    assert list(_walk_steps(Circuit(2))) == []
     m = metrics(Circuit(2))
     assert m.depth == 0 and m.total_gates == 0 and m.mean_concurrency == 0.0
 
@@ -73,25 +70,23 @@ def test_depth_equals_longest_path_on_random_circuits():
     rng = random.Random(42)
     for _ in range(100):
         c = _random_circuit(rng, rng.randint(1, 10), rng.randint(0, 200))
-        sched = asap_schedule(c)
-        assert sched.depth == longest_path_depth(c)
-        # schedule invariants
         m = metrics(c)
+        assert m.depth == longest_path_depth(c)
+        # schedule invariants
         assert m.depth * m.max_concurrency >= m.total_gates if m.total_gates else True
-        assert sum(len(ts) for ts in sched.timesteps) == len(c)
+        assert len(_walk_steps(c)) == len(c)
 
 
 def test_same_timestep_permutation_is_depth_neutral():
     rng = random.Random(7)
     for _ in range(25):
         c = _random_circuit(rng, 6, 40)
-        sched = asap_schedule(c)
-        # rebuild the gate list with each timestep's gates reversed
+        steps = _walk_steps(c)
+        # rebuild the gate list in timestep order, each timestep's gates reversed
         shuffled = Circuit(c.width)
-        for ts in sched.timesteps:
-            for i in reversed(ts):
-                shuffled.append(c.gates[i])
-        assert asap_schedule(shuffled).depth == sched.depth
+        for i in sorted(range(len(c)), key=lambda i: (steps[i], -i)):
+            shuffled.append(c.gates[i])
+        assert metrics(shuffled).depth == metrics(c).depth
 
 
 def test_concatenation_depths():
@@ -104,10 +99,7 @@ def test_concatenation_depths():
         disjoint.append(g)
     for g in b.gates:
         disjoint.append(Gate(g.kind, tuple(q + 4 for q in g.operands)))
-    assert (
-        asap_schedule(disjoint).depth
-        == max(asap_schedule(a).depth, asap_schedule(b).depth)
-    )
+    assert metrics(disjoint).depth == max(metrics(a).depth, metrics(b).depth)
 
     # fully shared wires: a chain of NOTs on one qubit extends serially
     chain1 = Circuit(1)
@@ -119,15 +111,15 @@ def test_concatenation_depths():
     joined = Circuit(1)
     for g in chain1.gates + chain2.gates:
         joined.append(g)
-    assert asap_schedule(joined).depth == 5 + 3
+    assert metrics(joined).depth == 5 + 3
 
 
 def test_every_mutator_drops_the_kept_steps():
-    """A circuit keeps its ASAP steps once scheduled or routed; each way of
-    adding gates must drop them, so the next schedule matches a copy that
-    never kept any."""
+    """A routed circuit keeps the ASAP steps the router worked out; each way
+    of adding gates must drop them, so the next schedule matches a copy
+    that never kept any."""
     rng = random.Random(11)
-    c, _ = route_linear(decompose_toffoli(_random_circuit(rng, 6, 40)))  # steps kept already
+    lowered = decompose_toffoli(_random_circuit(rng, 6, 40))
     other = _random_circuit(rng, 6, 10)
     mutators = [
         lambda c: c.x(0),
@@ -142,8 +134,9 @@ def test_every_mutator_drops_the_kept_steps():
         lambda c: c.append_circuit(other),
     ]
     for mutate in mutators:
-        metrics(c)
+        c, _ = route_linear(lowered)
+        assert c._steps is not None
         mutate(c)
+        assert c._steps is None
         fresh = Circuit.from_arrays(c.width, c.registers, *c.as_arrays())
         assert metrics(c) == metrics(fresh)
-        assert asap_schedule(c) == asap_schedule(fresh)
