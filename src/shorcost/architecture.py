@@ -11,7 +11,10 @@ Lowering to NTC means replacing each Toffoli by the standard five-gate
 two-qubit sequence over controlled-V gates and then inserting SWAP chains
 until every gate acts on neighbors; the router refuses Toffolis.  It
 tracks the drifting layout and returns the final line position of each
-wire in use instead of undoing it.
+wire in use instead of undoing it.  Its Python loop only marches qubits,
+schedules and records where each input gate's operands sat when it was
+met; numpy builds every emitted gate, SWAPs included, from those
+positions afterwards.
 """
 
 from __future__ import annotations
@@ -174,6 +177,15 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     Each emitted gate is scheduled ASAP (see ``scheduler``) as it is
     emitted, and the returned circuit keeps those steps, so ``metrics`` of
     it walks no gates again.
+
+    The loop records two things per input gate: its operand positions
+    ``pa``, ``pb`` as met, before any march (``pb`` = -1 for one operand),
+    and the steps.  The rest follows in numpy.  A two-operand gate makes
+    ``|pa - pb| - 1`` SWAPs, so input gate i lands at row
+    ``cumsum(nswap + 1)[i] - 1`` with its SWAPs just before it; SWAP k of
+    a march from ``start = min(pa, pb)`` acts on ``start + k, start + k +
+    1``; and the gate itself acts on ``(pb - 1, pb)`` when ``pa < pb``,
+    else on ``(pa, pa - 1)``.
     """
     kinds_in, ops_in = circuit.as_arrays()
     three = np.flatnonzero(ops_in[:, 2] >= 0)  # an unused operand slot holds -1
@@ -183,23 +195,26 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     pos = list(range(used))  # qubit -> position
     holder = list(range(used))  # position -> qubit
     ready = [0] * used  # position -> first free timestep
-    # one entry per emitted gate: the lower position of a SWAP, or -1 for
-    # the next input gate, whose operand positions go to ``ops``
-    order: list[int] = []
-    ops: list[int] = []
+    # each input gate's operand positions as it is met, -1 for no second
+    # operand; everything emitted follows from these two columns
+    met_a = array("i")
+    met_b = array("i")
     steps = array("i")
-    mark, emit_ops, place = order.append, ops.extend, steps.append
+    note_a, note_b, place = met_a.append, met_b.append, steps.append
 
     # The lower operand marches up to the upper one, carrying its ready
     # time t: each SWAP it makes lands at t, or later if the position
     # ahead is busy, and leaves the position behind it ready one step later.
     for a, b in zip(*ops_in[:, :2].T.tolist()):
+        lo = pos[a]
+        note_a(lo)
         if b < 0:
-            lo = hi = pos[a]
+            hi = lo
             t = ready[lo]
-            emit_ops((lo, -1, -1))
+            note_b(-1)
         else:
-            lo, hi = pos[a], pos[b]
+            hi = pos[b]
+            note_b(hi)
             if lo > hi:
                 lo, hi = hi, lo
             t = ready[lo]
@@ -211,7 +226,6 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
                         t = ready[ahead]
                     moved = holder[lo] = holder[ahead]
                     pos[moved] = lo
-                    mark(lo)
                     place(t)
                     t += 1
                     ready[lo] = t
@@ -220,20 +234,27 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
                 pos[qubit] = lo
             if ready[hi] > t:
                 t = ready[hi]
-            emit_ops((pos[a], pos[b], -1))
         ready[lo] = ready[hi] = t + 1
-        mark(-1)
         place(t)
 
-    marks = np.array(order, dtype=np.int32)
-    swaps = marks >= 0
-    low = marks[swaps]
-    kinds = np.full(len(marks), _SWAP, dtype=np.uint8)
-    kinds[~swaps] = kinds_in
-    routed_ops = np.full((len(marks), 3), -1, dtype=np.int32)
-    routed_ops[~swaps] = np.array(ops, dtype=np.int32).reshape(-1, 3)
-    routed_ops[swaps, 0] = low
-    routed_ops[swaps, 1] = low + 1
+    pa = np.frombuffer(met_a, dtype=np.int32)
+    pb = np.frombuffer(met_b, dtype=np.int32)
+    two = pb >= 0
+    up = pa < pb  # the first operand marches
+    nswap = np.where(two, np.abs(pa - pb) - 1, 0)
+    land = np.cumsum(nswap + 1, dtype=np.int32) - 1  # output row of each input gate
+    total = len(steps)
+    # every row is first filled as a SWAP of its gate's march (row
+    # land - nswap + k on start + k); the input gates' rows are then
+    # overwritten: the marcher ends beside the operand it marched to
+    start = np.where(two, np.minimum(pa, pb), pa)
+    routed_ops = np.full((total, 3), -1, dtype=np.int32)
+    routed_ops[:, 0] = np.arange(total, dtype=np.int32) - np.repeat(land - nswap - start, nswap + 1)
+    np.add(routed_ops[:, 0], 1, out=routed_ops[:, 1])
+    routed_ops[land, 0] = np.where(up, pb - 1, pa)
+    routed_ops[land, 1] = np.where(two, np.where(up, pb, pa - 1), -1)
+    kinds = np.full(total, _SWAP, dtype=np.uint8)
+    kinds[land] = kinds_in
     routed = Circuit(circuit.width, circuit.registers)
     routed._extend_raw(kinds, routed_ops.reshape(-1).view(np.uint8))  # valid by construction
     routed._steps = steps

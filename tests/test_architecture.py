@@ -14,7 +14,7 @@ from shorcost.architecture import (
     route_linear,
     verify_toffoli_identity,
 )
-from shorcost.arithmetic import AdderKind, build_adder
+from shorcost.arithmetic import AdderKind, ModexpSpec, build_adder, build_modexp
 from shorcost.circuit import GATE_ARITY, KIND_CODE, Circuit, CircuitError, Gate, GateKind
 from shorcost.oracle import simulate_mask
 from shorcost.scheduler import metrics
@@ -146,6 +146,21 @@ def test_router_state_is_sized_by_the_wires_in_use():
     assert [g.kind for g in routed.gates] == [GateKind.SWAP, GateKind.SWAP, GateKind.CNOT]
     # nothing the router keeps or returns grows with the declared width
     assert _peak(lambda: route_linear(c)) < 1 << 20
+
+
+def test_router_peak_memory_is_bounded_by_its_output():
+    # the router's own bookkeeping is per input gate; per emitted gate it
+    # holds little beyond the arrays it returns
+    c = decompose_toffoli(build_modexp(ModexpSpec(n=5, modulus=29, base=3)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        routed = route_linear(c)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(routed[0]) > 3 * len(c)
+    assert peak - before < 2.75 * (kept - before)
 
 
 def classical_stand_in(lowered):

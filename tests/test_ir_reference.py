@@ -23,6 +23,7 @@ from shorcost.architecture import (
     decompose_toffoli,
     route_linear,
 )
+from shorcost.arithmetic import AdderKind, ModexpSpec, build_modexp
 from shorcost.circuit import GATE_ARITY, Circuit, CircuitError, Gate, GateKind
 from shorcost.oracle import NonClassicalGateError, simulate_mask
 from shorcost.scheduler import Metrics, _walk_steps, metrics
@@ -202,16 +203,56 @@ def test_lowering_matches_reference(c):
     decomposed = decompose_toffoli(c)
     assert list(decomposed.gates) == ref_decompose(c.gates)
     assert decomposed.registers == c.registers
-    routed, layout = route_linear(decomposed)
-    want_gates, want_layout = ref_route(decomposed.gates, c.width)
-    assert list(routed.gates) == want_gates
-    # the layout stops at the highest wire in use; the wires above never move
-    used = max((q for g in decomposed.gates for q in g.operands), default=-1) + 1
-    assert layout == want_layout[:used]
-    assert want_layout[used:] == tuple(range(used, c.width))
+    routed = assert_routes_as_reference(decomposed)
     assert check_conformance(routed, NTC) == ConformanceReport(True, None)
     for out in (decomposed, routed):
         assert_passes_the_entry_check(out)
+
+
+def assert_routes_as_reference(c):
+    """``route_linear(c)`` gives the reference's gates and layout, and keeps
+    the reference schedule of those gates; returns the routed circuit."""
+    routed, layout = route_linear(c)
+    want_gates, want_layout = ref_route(c.gates, c.width)
+    assert list(routed.gates) == want_gates
+    assert list(routed._steps) == ref_schedule(want_gates, c.width)
+    # the layout stops at the highest wire in use; the wires above never move
+    used = max((q for g in c.gates for q in g.operands), default=-1) + 1
+    assert layout == want_layout[:used]
+    assert want_layout[used:] == tuple(range(used, c.width))
+    return routed
+
+
+ROUTER_EDGE_CASES = {
+    "no gates": lambda: Circuit(4),
+    "NOT only": lambda: Circuit(5).x(3).x(0).x(3),
+    "descending pair that marches": lambda: Circuit(5).cx(4, 0).cv(3, 1),
+    "input SWAP": lambda: Circuit(5).swap(0, 3).cx(3, 0),
+    "march beside the highest wire in use": lambda: Circuit(7).x(1).cx(0, 4).cx(4, 1),
+    "width far above the wires in use": lambda: Circuit(1 << 16).cx(5, 0).x(2),
+}
+
+
+@pytest.mark.parametrize("name", ROUTER_EDGE_CASES)
+def test_router_edge_cases_match_reference(name):
+    assert_routes_as_reference(ROUTER_EDGE_CASES[name]())
+
+
+def test_input_swap_routes_like_a_cnot():
+    swap, _ = route_linear(Circuit(5).swap(0, 3).cx(3, 0))
+    cnot, _ = route_linear(Circuit(5).cx(0, 3).cx(3, 0))
+    assert [g.operands for g in swap.gates] == [g.operands for g in cnot.gates]
+    assert [g.kind for g in swap.gates] == [GateKind.SWAP] * 3 + [GateKind.CNOT]
+    assert list(swap._steps) == list(cnot._steps)
+
+
+@pytest.mark.parametrize("adder", list(AdderKind), ids=lambda a: a.value)
+@pytest.mark.parametrize("s", [1, 2])
+def test_routing_real_builds_matches_reference(s, adder):
+    # drawn circuits are at most 12 wires wide, so their marches stay short;
+    # these march up to about 200 positions (conditional-sum, s=2)
+    spec = ModexpSpec(n=4, modulus=13, base=2, s=s, adder=adder)
+    assert_routes_as_reference(decompose_toffoli(build_modexp(spec)))
 
 
 def assert_passes_the_entry_check(out):
