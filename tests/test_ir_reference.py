@@ -250,7 +250,7 @@ def test_input_swap_routes_like_a_cnot():
 @pytest.mark.parametrize("s", [1, 2])
 def test_routing_real_builds_matches_reference(s, adder):
     # drawn circuits are at most 12 wires wide, so their marches stay short;
-    # these march up to about 200 positions (conditional-sum, s=2)
+    # these march up to 85 positions in one go (conditional-sum, s=2)
     spec = ModexpSpec(n=4, modulus=13, base=2, s=s, adder=adder)
     assert_routes_as_reference(decompose_toffoli(build_modexp(spec)))
 
