@@ -13,12 +13,17 @@ states and keeps one Python int per wire, whose bit i is that wire's value
 in state i of the chunk.  A gate is then one big-int operation for the
 whole chunk: NOT XORs the row with all-ones, CNOT XORs one row into
 another, TOFFOLI XORs in the AND of two rows and SWAP exchanges two rows.
-Register values move into and out of rows with numpy ``packbits`` /
-``unpackbits``, 64 bits at a time, so every register width takes the same
-path.  An exhaustive domain is never materialised: each chunk is addressed
-by its mixed-radix index into the registers' value sequences.  Rows exist
-only for the wires in use, up to the highest wire a gate or register
-touches, so declaring a wider circuit costs nothing by itself.
+Register values move into and out of rows with numpy ``unpackbits`` /
+``packbits``, 64 bits at a time.  Values of up to 64 bits are copied into
+an ``array("Q")`` buffer, which numpy reads as bytes without parsing each
+int; wider values are laid out with ``int.to_bytes``.  An exhaustive
+domain is never materialised: each chunk is addressed by its mixed-radix
+index into the registers' value sequences, and a register's column is its
+few distinct values in the chunk, each repeated over its run of states by
+one ``np.repeat`` of an object array, so the column holds the domain's own
+int objects.  Rows exist only for the wires in use, up to the highest wire
+a gate or register touches, so declaring a wider circuit costs nothing by
+itself.
 
 The spec's inputs are built column-wise, ``_BATCH`` at a time: a batch
 copies a zero-filled dict of every register and writes each domain
@@ -26,6 +31,8 @@ register's column into it, then goes through the spec in order.  Only
 one batch of input dicts is alive at once; the spec's answers are kept
 for the whole chunk and compared with the output rows in bulk, falling
 back to value-by-value ``==`` where an answer is not a fitting integer.
+For a register of up to 64 bits, the answers fit when ``array("Q")`` takes
+them all and none has a bit at or above the register's length.
 
 ``simulate_mask`` walks one state at a time over a plain int.  It is kept
 as the independent reference the engine is tested against.  Register
@@ -36,10 +43,12 @@ significant.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter, ne, setitem
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -145,9 +154,12 @@ def _to_rows(values: Sequence[int], length: int) -> list[int]:
     once and sliced 64 bits at a time."""
     nbytes = (length + 7) // 8
     if length <= _LIMB:
-        octets = np.asarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        # the words ``_fitting`` made are read in place, not copied
+        words = values if isinstance(values, array) else array("Q", values)
+        octets = np.frombuffer(words, np.uint64).astype("<u8", copy=False)
+        octets = octets.view(np.uint8).reshape(-1, 8)
     else:
-        raw = b"".join([v.to_bytes(nbytes, "little") for v in values])
+        raw = b"".join([operator.index(v).to_bytes(nbytes, "little") for v in values])
         octets = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
     rows = []
     for lo in range(0, length, _LIMB):
@@ -156,7 +168,7 @@ def _to_rows(values: Sequence[int], length: int) -> list[int]:
             octets[:, lo // 8 : (lo + width + 7) // 8],
             axis=1, count=width, bitorder="little",
         )
-        packed = np.packbits(bits.T, axis=1, bitorder="little")
+        packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
         rows += [int.from_bytes(p.tobytes(), "little") for p in packed]
     return rows
 
@@ -184,7 +196,8 @@ def _validate_domain(
     circuit: Circuit, domain: Mapping[str, Sequence[int]]
 ) -> None:
     """Reject a domain naming a missing register or holding a value that
-    does not fit its register, before anything is simulated."""
+    is not an integer or does not fit its register, before anything is
+    simulated.  An integer is a value ``operator.index`` accepts."""
     regs = {r.name: r for r in circuit.registers}
     for name, space in domain.items():
         if name not in regs:
@@ -192,6 +205,14 @@ def _validate_domain(
                 f"domain names register {name!r}, which the circuit lacks "
                 f"(it has {', '.join(regs) or 'none'})"
             )
+        if not isinstance(space, range):
+            for value in space:
+                try:
+                    operator.index(value)
+                except TypeError:
+                    raise CircuitError(
+                        f"value {value!r} of register {name} is not an integer"
+                    ) from None
         if not _size(space):
             continue
         if isinstance(space, range):
@@ -217,11 +238,11 @@ def _column(space: Sequence[int], size: int, stride: int, start: int, k: int) ->
         vals += list(space) * laps + list(space[:rest])
     if stride == 1:
         return vals
-    col = [vals[0]] * head
-    col += chain.from_iterable(map(repeat, vals[1 : 1 + mid], repeat(stride)))
+    counts = np.full(need, stride)
+    counts[0] = head
     if tail:
-        col += [vals[-1]] * tail
-    return col
+        counts[-1] = tail
+    return np.repeat(np.array(vals, dtype=object), counts).tolist()
 
 
 _Chunk = tuple[int, dict[str, list[int]]]
@@ -289,19 +310,16 @@ def _mismatch(
 def _fitting(want: list, length: int) -> Sequence[int] | None:
     """``want`` as non-negative ``length``-bit integers, ready for
     ``_to_rows``, or None where some value is not such an integer."""
-    if length > _LIMB:  # no numpy integer dtype holds these values
+    if length > _LIMB:  # no machine word holds these values
         ints = all(map(isinstance, want, repeat(int)))
         return want if ints and min(want) >= 0 and max(want) >> length == 0 else None
     try:
-        arr = np.array(want)
-    except ValueError:  # sequences of unequal lengths
+        words = array("Q", want)
+    except (TypeError, OverflowError):  # not an integer, negative or >= 2^64
         return None
-    if arr.ndim != 1 or arr.dtype.kind not in "biu":
+    if int(np.frombuffer(words, np.uint64).max(initial=0)) >> length:
         return None
-    if arr.min() < 0 or int(arr.max()) >> length:
-        return None
-    # a non-negative int64 has the bytes of its uint64
-    return arr.view(np.uint64) if arr.dtype == np.int64 else arr
+    return words
 
 
 def _diff(a: list[int], b: list[int]) -> int:
@@ -367,6 +385,8 @@ def exhaustive_check(
 
     ``domain`` maps register names to the values they sweep; the check runs
     over the cartesian product, with unlisted registers starting at zero.
+    A domain value must be an integer (``operator.index`` takes it) that
+    fits its register; any other is refused before anything runs.
     ``spec`` maps input register values to the expected values of the
     registers it cares about; every register it leaves out, for an input,
     must come back unchanged for that input.
@@ -395,12 +415,17 @@ def randomized_check(
 
     Each trial is checked by the same rule as in ``exhaustive_check``:
     named registers hold the spec's value, the rest come back unchanged.
-    Deterministic for a given seed; ``trials=0`` passes vacuously.  The
-    domain is validated up front, as in ``exhaustive_check``, so a value
-    that does not fit its register is refused even if no trial would draw
+    Deterministic for a given seed; ``trials`` must be a non-negative
+    integer, and ``trials=0`` passes vacuously.  The domain is validated
+    up front, as in ``exhaustive_check``, so a value that is not an integer
+    or does not fit its register is refused even if no trial would draw
     it.  Trials are drawn one chunk at a time, so memory does not grow
     with ``trials``.
     """
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise CircuitError(f"trials must be an integer, not {trials!r}") from None
     if trials < 0:
         raise CircuitError("trials must be non-negative")
     _validate_domain(circuit, domain)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import shorcost
 from shorcost.arithmetic import build_const_modadd, build_modmul_const
 from shorcost.cli import _parse_wall, run
 
@@ -311,10 +314,13 @@ def test_scale_json_output(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same shorcost as this process, installed or not
+    src = str(Path(shorcost.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "shorcost.cli", "clock-for", "--model", "bcdp",
          "--bits", "576", "--wall", "1mo"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "3981.3 Hz\n"

@@ -2,10 +2,12 @@ import itertools
 import math
 import random
 import tracemalloc
+from array import array
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shorcost import oracle
@@ -154,6 +156,11 @@ def test_randomized_check_rejects_bad_trials_and_empty_domains():
     with pytest.raises(CircuitError, match="cannot sample from an empty value sequence"):
         randomized_check(c, _xor_spec(c), empty, trials=4, seed=0)
     assert randomized_check(c, _xor_spec(c), empty, trials=0, seed=0) is None
+    for trials in (2.5, "3", None, 4.0):
+        with pytest.raises(CircuitError, match="trials must be an integer"):
+            randomized_check(c, _xor_spec(c), {"a": range(2)}, trials=trials, seed=0)
+    domain = {"a": range(2), "b": range(2)}
+    assert randomized_check(c, _xor_spec(c), domain, trials=np.int64(3), seed=0) is None
 
 
 def test_wide_circuit_simulation():
@@ -305,23 +312,31 @@ def test_spec_value_outside_register_is_a_counterexample(bad_value):
 
 
 @pytest.mark.parametrize(
-    "answer, agrees",
+    "length, answer, agrees",
     [
-        (lambda a: a + 0.4, False),
-        (str, False),
-        (lambda a: None, False),
-        (lambda a: math.nan, False),
-        (float, True),
-        (lambda a: True if a == 1 else a, True),
-        (lambda a: [a], False),
-        (lambda a: [0] * a, False),
+        (1, lambda a: a + 0.4, False),
+        (1, str, False),
+        (1, lambda a: None, False),
+        (1, lambda a: math.nan, False),
+        (1, float, True),
+        (1, lambda a: True if a == 1 else a, True),
+        (1, lambda a: [a], False),
+        (1, lambda a: [0] * a, False),
+        (1, np.int64, True),
+        (64, lambda a: a * ((1 << 64) - 1), True),
+        (64, lambda a: a << 64, False),
     ],
-    ids=["fraction", "string", "none", "nan", "float", "bool", "list", "ragged"],
+    ids=[
+        "fraction", "string", "none", "nan", "float", "bool", "list", "ragged",
+        "numpy", "max64", "over64",
+    ],
 )
-def test_non_integer_spec_values_compare_with_eq(answer, agrees):
+def test_non_integer_spec_values_compare_with_eq(length, answer, agrees):
     """A spec value agrees with a register exactly when the reference's
     ``==`` says so: nothing is truncated, parsed or refused."""
-    c = Circuit(2, [("a", 0, 1), ("b", 1, 1)]).cx(0, 1)  # b <- a
+    c = Circuit(1 + length, [("a", 0, 1), ("b", 1, length)])
+    for j in range(length):  # b <- a in every bit
+        c.cx(0, 1 + j)
 
     def fn(vals):
         return {"b": answer(vals["a"])}
@@ -431,6 +446,38 @@ def test_domain_naming_missing_register_is_rejected():
         randomized_check(c, _xor_spec(c), {"t": range(2)}, trials=4, seed=0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [0.5, 1.0, "1", None, [1], np.float64(1)],
+    ids=["fraction", "float", "string", "none", "list", "numpy-float"],
+)
+def test_non_integer_domain_values_rejected_before_simulation(bad):
+    """The circuit would run the float truncated while the spec saw the
+    float itself, so a domain holds only values ``operator.index`` takes."""
+    c = Circuit(2, [("a", 0, 1), ("b", 1, 1)]).cx(0, 1)
+    # b ^= a, for any a that compares with 1
+    fn, calls = _recording(lambda v: {"b": v["b"] if v["a"] < 1 else 1 - v["b"]})
+    domain = {"a": [0, bad], "b": range(2)}
+    with pytest.raises(CircuitError, match="value .* of register a is not an integer"):
+        exhaustive_check(c, fn, domain)
+    for trials in (0, 1):
+        with pytest.raises(CircuitError, match="value .* of register a is not an integer"):
+            randomized_check(c, fn, domain, trials=trials, seed=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("length", [1, 65])
+def test_integer_like_domain_values_are_checked(length):
+    c = Circuit(2 * length, [("a", 0, length), ("b", length, length)])
+    for j in range(length):
+        c.cx(j, length + j)  # b ^= a
+    domain = {"a": [np.int64(0), True], "b": [np.uint8(0), 1]}
+    assert exhaustive_check(c, _xor_spec(c), domain) is None
+    assert exhaustive_check(c, lambda v: {"b": 0}, domain) == Counterexample(
+        {"a": 0, "b": 1}, {"b": 0}, {"a": 0, "b": 1}
+    )
+
+
 def test_out_of_range_domain_rejected_before_simulation():
     c = Circuit(2, [("a", 0, 1), ("b", 1, 1)]).cv(0, 1)  # would raise if run
     with pytest.raises(CircuitError, match="does not fit register a"):
@@ -536,3 +583,52 @@ def test_randomized_check_over_70_bit_space():
     first = {name: rng.randrange(1 << 70) for name in domain}
     assert cx.input_registers == first
     assert cx.actual["hi"] == first["lo"] ^ first["hi"]
+
+
+# ---------------------------------------------------------------------------
+# the column and row converters against one-value-at-a-time references
+
+
+def _spaces():
+    lists = st.lists(st.integers(0, 1 << 70), min_size=1, max_size=6)
+    ranges = st.builds(
+        range,
+        st.integers(-5, 20),
+        st.integers(-5, 20),
+        st.integers(-4, 4).filter(bool),
+    ).filter(len)
+    return st.one_of(lists, ranges)
+
+
+@given(
+    _spaces(),
+    st.integers(1, 9),
+    st.integers(0, 400),
+    st.integers(1, 120),
+)
+@example(range(9, -1, -3), 4, 6, 30)  # negative step, start mid-stride, wrap-round
+@example([5, 1, 7], 1, 2, 10)  # stride 1 wraps round the space
+@example([5, 1, 7], 5, 3, 2)  # one partial run
+@settings(max_examples=300, deadline=None)
+def test_column_matches_indexing(space, stride, start, k):
+    size = len(space)
+    want = [space[(start + j) // stride % size] for j in range(k)]
+    assert oracle._column(space, size, stride, start, k) == want
+
+
+def _rows_reference(values, length):
+    return [
+        sum((v >> j & 1) << i for i, v in enumerate(values)) for j in range(length)
+    ]
+
+
+@pytest.mark.parametrize("length", [1, 8, 63, 64, 65, 70])
+@pytest.mark.parametrize("count", [1, 9, 300])
+def test_to_rows_matches_per_bit_reference(length, count):
+    rng = random.Random(length * 1000 + count)
+    top = (1 << length) - 1
+    values = [top, 0, *(rng.getrandbits(length) for _ in range(count - 2))][:count]
+    want = _rows_reference(values, length)
+    assert oracle._to_rows(values, length) == want
+    if length <= 64:
+        assert oracle._to_rows(array("Q", values), length) == want
