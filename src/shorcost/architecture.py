@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _ARITY, KIND_CODE, Circuit, CircuitError, Gate, GateKind
+from .circuit import _ARITY, _CNOT, _CV, _CVDAG, _SWAP, _TOFFOLI
+from .circuit import Circuit, CircuitError, Gate, GateKind
 
 __all__ = [
     "ArchModel",
@@ -70,11 +71,6 @@ def check_conformance(circuit: Circuit, model: ArchModel) -> ConformanceReport:
 
 
 # -- Toffoli decomposition ---------------------------------------------
-
-_CV, _CNOT, _CVDAG, _SWAP, _TOFFOLI = (
-    KIND_CODE[k]
-    for k in (GateKind.CV, GateKind.CNOT, GateKind.CVDAG, GateKind.SWAP, GateKind.TOFFOLI)
-)
 
 
 def decompose_toffoli(circuit: Circuit) -> Circuit:

@@ -164,27 +164,27 @@ def _emit_condsum(c: Circuit, a: list, b: list, cout: int, anc: dict) -> None:
     gen = (anc["gen0"], anc["gen1"])
     carry = [0] * m  # the wire carrying into each position above 0
 
-    def up(lo: int, hi: int, nid: int) -> None:
+    def up(sweep: Circuit, lo: int, hi: int, nid: int) -> None:
         g0, g1 = gen[0][nid], gen[1][nid]
         if hi - lo == 1:
-            c.ccx(a[lo], b[lo], g0)
-            c.cx(a[lo], prop[lo])
-            c.cx(b[lo], prop[lo])
-            c.cx(g0, g1)
-            c.cx(prop[lo], g1)
+            sweep.ccx(a[lo], b[lo], g0)
+            sweep.cx(a[lo], prop[lo])
+            sweep.cx(b[lo], prop[lo])
+            sweep.cx(g0, g1)
+            sweep.cx(prop[lo], g1)
             return
         mid = (lo + hi) // 2
         low, high = nid + 1, nid + 2 * (mid - lo)
-        up(lo, mid, low)
-        up(mid, hi, high)
+        up(sweep, lo, mid, low)
+        up(sweep, mid, hi, high)
         for h in (0, 1):
             sel = gen[h][low]
             dst = (g0, g1)[h]
-            c.cx(gen[0][high], dst)
-            c.ccx(sel, gen[0][high], dst)
-            c.ccx(sel, gen[1][high], dst)
+            sweep.cx(gen[0][high], dst)
+            sweep.ccx(sel, gen[0][high], dst)
+            sweep.ccx(sel, gen[1][high], dst)
 
-    def down(lo: int, hi: int, nid: int, bc: int, cin: int) -> None:
+    def down(sweep: Circuit, lo: int, hi: int, nid: int, bc: int, cin: int) -> None:
         """``cin`` is the constant carry-in on the blocks at position 0 and
         a block-carry wire on every other block."""
         if hi - lo == 1:
@@ -193,19 +193,19 @@ def _emit_condsum(c: Circuit, a: list, b: list, cout: int, anc: dict) -> None:
         mid = (lo + hi) // 2
         low, cin_high = nid + 1, blockcarry[bc]
         if lo == 0:
-            c.cx(gen[cin][low], cin_high)
+            sweep.cx(gen[cin][low], cin_high)
         else:
-            c.cx(gen[0][low], cin_high)
-            c.ccx(cin, gen[0][low], cin_high)
-            c.ccx(cin, gen[1][low], cin_high)
-        down(lo, mid, low, bc + 1, cin)
-        down(mid, hi, nid + 2 * (mid - lo), bc + (mid - lo), cin_high)
+            sweep.cx(gen[0][low], cin_high)
+            sweep.ccx(cin, gen[0][low], cin_high)
+            sweep.ccx(cin, gen[1][low], cin_high)
+        down(sweep, lo, mid, low, bc + 1, cin)
+        down(sweep, mid, hi, nid + 2 * (mid - lo), bc + (mid - lo), cin_high)
 
     def compute_write_uncompute(cin: int, write_carry: bool) -> None:
-        sweep_start = len(c)
-        up(0, m, 0)
-        down(0, m, 0, 0, cin)
-        sweep_end = len(c)
+        sweep = Circuit(c.width)  # both sweeps, replayed and then inverted
+        up(sweep, 0, m, 0)
+        down(sweep, 0, m, 0, 0, cin)
+        c.append_circuit(sweep)
         for i in range(m):
             c.cx(prop[i], sums[i])
             if i:
@@ -214,7 +214,7 @@ def _emit_condsum(c: Circuit, a: list, b: list, cout: int, anc: dict) -> None:
                 c.x(sums[i])
         if write_carry:
             c.cx(gen[cin][0], cout)
-        c.invert_span(sweep_start, sweep_end)
+        c.append_circuit(sweep.inverse())
 
     compute_write_uncompute(0, write_carry=True)
     for i in range(m):

@@ -12,19 +12,24 @@ Gates are stored as two flat arrays: one ``uint8`` kind code per gate
 the emitters (``append``, ``x``, ``cx``, ...) check each gate with plain
 int comparisons, ``from_dict`` hands each gate of a document, in order,
 to ``Gate`` and ``append``, and only ``from_arrays`` checks a whole array
-at a time.  ``invert_span`` and ``append_circuit`` only copy gates that
-were checked when they entered, and the lowering passes hand the gates
-they compute from a valid circuit to ``_extend_raw``, so none of these
-checks anything again.  ``Circuit.gates`` is a read-only tuple of
-``Gate`` values, built on access.  A circuit that ``route_linear``
-returns also keeps the ASAP timestep of each gate, which the router
-works out as it routes; no other code writes them.  Every mutation drops
-both the snapshot and the timesteps.
+at a time.  ``append_circuit`` only copies gates that were checked when
+they entered the circuit it copies, and the lowering passes hand the
+gates they compute from a valid circuit to ``_extend_raw``, so none of
+these checks anything again.  A block that a builder repeats is recorded
+once, in a circuit of its own, and every repeat, its uncompute included,
+enters through ``append_circuit``.
+
+``Circuit.gates`` is a read-only tuple of ``Gate`` values, built on
+access.  A circuit that ``route_linear`` returns also keeps the ASAP
+timestep of each gate, which the router works out as it routes; no other
+code writes them.  No method removes or rewrites a gate, so the snapshot
+and the timesteps are current exactly while they hold one entry per gate,
+and they expire by length as the circuit grows.
 
 Gate order is execution order.  There is no DAG here; data dependencies
 are recovered by the scheduler from operand overlap.
 
-``dumps`` writes the ``to_dict`` document as JSON indented by 2.  It and
+``dumps`` writes the circuit's document as JSON indented by 2.  It and
 ``gates`` know each gate by one integer key, worked out with numpy a
 slice at a time: ``((kind*R + a+1)*R + b+1)*R + c+1``, where R is the
 largest operand plus 2 and an unused slot's -1 becomes 0.  The keys are
@@ -206,7 +211,7 @@ class Circuit:
     """Ordered gates over ``width`` wires with named registers.
 
     Builders mutate a circuit only through ``append``, ``extend``, the
-    single-gate emitters, ``invert_span`` and ``append_circuit``;
+    single-gate emitters and ``append_circuit``, each of which appends;
     consumers treat instances as immutable once handed over.
     """
 
@@ -229,10 +234,10 @@ class Circuit:
         self._check_registers()
         self._kinds = array("B")
         self._ops = array("i")
-        self._view: tuple[Gate, ...] | None = ()
+        self._view: tuple[Gate, ...] = ()  # stale once shorter than the circuit
         # ASAP timestep of each gate, kept by ``route_linear`` only (see
-        # ``scheduler``); None on any other circuit
-        self._steps: array | None = None
+        # ``scheduler``); stale once shorter than the circuit
+        self._steps = array("i")
 
     def _check_registers(self) -> None:
         seen: set[str] = set()
@@ -293,7 +298,6 @@ class Circuit:
         already known to be valid, as bytes or 1-D ``uint8`` arrays."""
         self._kinds.frombytes(kinds)
         self._ops.frombytes(ops)
-        self._view = self._steps = None
 
     def _put(self, code: int, slots: list) -> None:
         try:
@@ -301,7 +305,6 @@ class Circuit:
         except TypeError:  # not an integer; the range check passed
             raise _gate_error(code, tuple(slots[: _ARITIES[code]]), self.width) from None
         self._kinds.append(code)
-        self._view = self._steps = None
 
     def _one(self, code: int, a: int) -> "Circuit":
         if not 0 <= a < self.width:
@@ -350,18 +353,6 @@ class Circuit:
     def cvdag(self, c: int, t: int) -> "Circuit":
         return self._two(_CVDAG, c, t)
 
-    def invert_span(self, start: int, stop: int | None = None) -> "Circuit":
-        """Append the inverse of ``gates[start:stop]``, which uncomputes
-        that span.
-
-        The inverse of a valid gate acts on the same wires, so nothing is
-        checked again.
-        """
-        start, stop, _ = slice(start, stop).indices(len(self))
-        stop = max(start, stop)
-        self._extend_raw(*_inverted(self._kinds[start:stop], self._ops[3 * start : 3 * stop]))
-        return self
-
     def append_circuit(self, other: "Circuit") -> "Circuit":
         """Append the gates of ``other``, on the same wires.
 
@@ -376,7 +367,6 @@ class Circuit:
             )
         self._kinds.extend(other._kinds)
         self._ops.extend(other._ops)
-        self._view = self._steps = None
         return self
 
     # -- queries -----------------------------------------------------
@@ -400,7 +390,7 @@ class Circuit:
     @property
     def gates(self) -> tuple[Gate, ...]:
         """The gates in execution order, as a read-only snapshot."""
-        if self._view is None:
+        if len(self._view) != len(self):
             # Gates are values, so equal gates share one object.
             self._view = tuple(self._each_distinct(_make_gate))
         return self._view
@@ -458,32 +448,18 @@ class Circuit:
     def inverse(self) -> "Circuit":
         """Reversed gate order with each gate replaced by its inverse."""
         inv = Circuit(self.width, self.registers)
-        inv._extend_raw(*_inverted(self._kinds, self._ops))
+        kinds = bytes(self._kinds)[::-1].translate(_INVERSE_CODES)  # CV and CVDAG trade places
+        ops = np.frombuffer(self._ops, dtype=np.int32).reshape(-1, 3)[::-1].tobytes()
+        inv._extend_raw(kinds, ops)  # the inverse of a valid gate acts on the same wires
         return inv
 
     # -- serialization -----------------------------------------------
 
-    def _header(self) -> dict:
-        return {
-            "width": self.width,
-            "registers": [
-                {"name": r.name, "offset": r.offset, "length": r.length}
-                for r in self.registers
-            ],
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            **self._header(),
-            "gates": [
-                {"kind": g.kind.value, "operands": list(g.operands)}
-                for g in self.gates
-            ],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "Circuit":
-        """Rebuild a circuit from ``to_dict`` output.  Every field is checked:
+        """Rebuild a circuit from its document as ``json.loads`` gives it:
+        what ``dumps`` writes, in that layout or any other, such as compact
+        JSON.  Every field is checked:
         JSON types (objects, lists, strings), integer width and register
         geometry, then each gate in document order: its kind is known, and
         ``Gate`` and ``append`` check its operands (integers, with booleans
@@ -515,8 +491,13 @@ class Circuit:
         return c
 
     def dumps(self) -> str:
-        """JSON text: the ``to_dict`` document, indented by 2, newline-ended."""
-        head = json.dumps({**self._header(), "gates": []}, indent=2)
+        """JSON text indented by 2 and newline-ended: the width, each
+        register's name, offset and length, then each gate's kind name and
+        operands."""
+        registers = [
+            {"name": r.name, "offset": r.offset, "length": r.length} for r in self.registers
+        ]
+        head = json.dumps({"width": self.width, "registers": registers, "gates": []}, indent=2)
         if not len(self):
             return head + "\n"
         # one join writes the whole text: each concatenation after it
@@ -587,13 +568,6 @@ def _make_gate(key: tuple[int, int, int, int]) -> Gate:
 def _gate_json(key: tuple[int, int, int, int]) -> str:
     k, a, b, c = key
     return _GATE_TEXT[k] % (a, b, c)[: _ARITIES[k]]
-
-
-def _inverted(kinds: array, ops: array) -> tuple[bytes, bytes]:
-    """Kind codes and operand slots of a gate span run backwards, each gate
-    replaced by its inverse (CV and CVDAG trade places)."""
-    reversed_ops = np.frombuffer(ops, dtype=np.int32).reshape(-1, 3)[::-1]
-    return bytes(kinds)[::-1].translate(_INVERSE_CODES), reversed_ops.tobytes()
 
 
 _GATES_LINE = '\n  "gates": [\n'

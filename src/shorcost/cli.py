@@ -10,9 +10,9 @@ Subcommands:
 * ``crossover``  smallest problem size where the quantum curve wins
 
 Exit codes: 0 success / verification passed, 1 verification found a
-counterexample, 2 usage or parameter error, 3 file I/O error.  Results go
-to stdout, diagnostics to stderr, and identical invocations produce
-byte-identical output.
+counterexample, 2 usage or parameter error or out of memory, 3 file I/O
+error.  Results go to stdout, diagnostics to stderr, and identical
+invocations produce byte-identical output.
 
 The argument parser is built once per process, on the first ``run``, and
 every later ``run`` only parses with it.  Each subcommand's ``_cmd_*``
@@ -344,6 +344,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"shorcost: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("shorcost: out of memory; try a smaller circuit or size", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> int:

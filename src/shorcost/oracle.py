@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .circuit import KIND_CODE, Circuit, CircuitError, GateKind, Register
+from .circuit import _CNOT, _KINDS, _NOT, _SWAP, _TOFFOLI, Circuit, CircuitError, Register
 
 __all__ = [
     "NonClassicalGateError",
@@ -68,12 +68,6 @@ __all__ = [
 
 class NonClassicalGateError(CircuitError):
     """Raised when simulation meets a gate with no basis-state action."""
-
-
-_KIND_OF_CODE = {code: kind for kind, code in KIND_CODE.items()}
-_NOT, _CNOT, _TOFFOLI, _SWAP = (
-    KIND_CODE[k] for k in (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP)
-)
 
 
 _Program = tuple[list[int], list[int], list[int], list[int]]
@@ -92,7 +86,7 @@ def _program(circuit: Circuit) -> tuple[_Program, int]:
 
 def _non_classical(code: int) -> NonClassicalGateError:
     return NonClassicalGateError(
-        f"non-classical gate {_KIND_OF_CODE[code].value} has no basis-state semantics"
+        f"non-classical gate {_KINDS[code].value} has no basis-state semantics"
     )
 
 

@@ -77,6 +77,11 @@ def _check_positive(what: str, value: float) -> None:
         raise ValueError(f"{what} must be a positive finite number, got {value}")
 
 
+def _check_bits(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"bit size must be at least 2, got {n}")
+
+
 def _finite_result(what: str, value: float) -> float:
     """Reject an inf or nan computed from finite inputs: a float overflow."""
     if not math.isfinite(value):
@@ -105,8 +110,7 @@ def nfs_seconds(model: ClassicalModel, n: int) -> float:
     Raises ``ValueError`` when the time does not fit a float (near
     n = 10^6 at ``compute_factor`` 1).
     """
-    if n < 2:
-        raise ValueError(f"bit size must be at least 2, got {n}")
+    _check_bits(n)
     return _finite_result(f"sieve time for n={n}", _sieve_seconds(model, n))
 
 
@@ -155,8 +159,7 @@ def quantum_seconds(model: QuantumModel, n: int, clock_hz: float) -> float:
     Raises ``ValueError`` on a non-finite clock and when the time does not
     fit a float.
     """
-    if n < 2:
-        raise ValueError(f"bit size must be at least 2, got {n}")
+    _check_bits(n)
     _check_positive("clock", clock_hz)
     return _finite_result(
         f"{model.name} time at n={n}, {clock_hz} Hz", model.depth(n) / clock_hz
@@ -165,8 +168,7 @@ def quantum_seconds(model: QuantumModel, n: int, clock_hz: float) -> float:
 
 def required_clock(model: QuantumModel, n: int, wall_seconds: float) -> float:
     """Gate rate needed to finish within the wall time; inverse of quantum_seconds."""
-    if n < 2:
-        raise ValueError(f"bit size must be at least 2, got {n}")
+    _check_bits(n)
     _check_positive("wall time", wall_seconds)
     return _finite_result(
         f"{model.name} clock for n={n} in {wall_seconds} s", model.depth(n) / wall_seconds
@@ -175,8 +177,7 @@ def required_clock(model: QuantumModel, n: int, wall_seconds: float) -> float:
 
 def speedup(q1: QuantumModel, q2: QuantumModel, n: int) -> float:
     """How many times deeper q1's circuit is than q2's at size n."""
-    if n < 2:
-        raise ValueError(f"bit size must be at least 2, got {n}")
+    _check_bits(n)
     return q1.depth(n) / q2.depth(n)
 
 

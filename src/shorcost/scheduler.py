@@ -7,9 +7,11 @@ the qubit-conflict DAG.  Ties follow circuit order.
 
 ``metrics`` is the one scheduling entry point.  ``route_linear`` works
 out the step of every gate it emits while it routes and the routed
-circuit keeps them, as an ``int32`` array, until it is next mutated;
+circuit keeps them as an ``int32`` array.  Gates are only ever appended,
+so the kept steps are current exactly while there is one per gate;
 ``metrics`` of such a circuit walks no gates in Python.  Any other
-circuit is walked once per call, and nothing is kept on it.
+circuit, a routed one that has grown since included, is walked once per
+call, and nothing is kept on it.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def _walk_steps(circuit: Circuit) -> array:
 
 def metrics(circuit: Circuit) -> Metrics:
     """Depth/width/concurrency summary of a circuit under ASAP scheduling."""
-    steps = circuit._steps if circuit._steps is not None else _walk_steps(circuit)
+    # the steps ``route_linear`` kept, unless the circuit has grown since
+    steps = circuit._steps if len(circuit._steps) == len(circuit) else _walk_steps(circuit)
     per_step = np.bincount(np.frombuffer(steps, dtype=np.int32))
     total = len(circuit)
     depth = len(per_step)

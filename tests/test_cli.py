@@ -206,6 +206,22 @@ def test_estimate_ntc_exits_2_if_routing_leaves_a_violation(tmp_path, capsys, mo
     assert captured.out == "" and "routing failed to produce an NTC circuit" in captured.err
 
 
+def test_out_of_memory_exits_2_with_a_message(tmp_path, capsys, monkeypatch):
+    """Running out of memory is not a counterexample: it exits 2, not 1."""
+    import shorcost.cli as cli
+
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_modexp", exhausted)
+    out = tmp_path / "m.json"
+    assert run(["build", "--kind", "modexp", "--n", "100", "--modulus", "13", "--base", "2",
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("shorcost: out of memory")
+    assert not out.exists()
+
+
 def test_clock_for_rejects_infinite_wall(capsys):
     assert run(["clock-for", "--model", "bcdp", "--bits", "576",
                 "--wall", "1e999"]) == 2

@@ -3,6 +3,7 @@ import tracemalloc
 
 from shorcost.architecture import decompose_toffoli, route_linear
 from shorcost.circuit import GATE_ARITY, Circuit, Gate, GateKind
+from shorcost import scheduler
 from shorcost.scheduler import _walk_steps, metrics
 
 
@@ -114,29 +115,45 @@ def test_concatenation_depths():
     assert metrics(joined).depth == 5 + 3
 
 
-def test_every_mutator_drops_the_kept_steps():
-    """A routed circuit keeps the ASAP steps the router worked out; each way
-    of adding gates must drop them, so the next schedule matches a copy
-    that never kept any."""
+def test_kept_steps_and_snapshot_expire_when_gates_are_appended(monkeypatch):
+    """A routed circuit keeps the ASAP steps the router worked out, and
+    ``gates`` keeps its snapshot.  Every mutator appends, so after each
+    one ``metrics`` matches a copy that never kept steps, ``gates`` ends
+    with what was appended, and a snapshot taken before is unchanged; a
+    mutator that appends nothing leaves the kept steps in use."""
+    walked = []
+    monkeypatch.setattr(
+        scheduler, "_walk_steps", lambda c: walked.append(c) or _walk_steps(c)
+    )
     rng = random.Random(11)
     lowered = decompose_toffoli(_random_circuit(rng, 6, 40))
     other = _random_circuit(rng, 6, 10)
+    two = [Gate(GateKind.NOT, (5,)), Gate(GateKind.TOFFOLI, (5, 0, 3))]
     mutators = [
-        lambda c: c.x(0),
-        lambda c: c.cx(5, 0),
-        lambda c: c.ccx(0, 5, 2),
-        lambda c: c.swap(0, 5),
-        lambda c: c.cv(5, 0),
-        lambda c: c.cvdag(0, 5),
-        lambda c: c.append(Gate(GateKind.CNOT, (0, 5))),
-        lambda c: c.extend([Gate(GateKind.NOT, (5,)), Gate(GateKind.TOFFOLI, (5, 0, 3))]),
-        lambda c: c.invert_span(0, 7),
-        lambda c: c.append_circuit(other),
+        (lambda c: c.x(0), [Gate(GateKind.NOT, (0,))]),
+        (lambda c: c.cx(5, 0), [Gate(GateKind.CNOT, (5, 0))]),
+        (lambda c: c.ccx(0, 5, 2), [Gate(GateKind.TOFFOLI, (0, 5, 2))]),
+        (lambda c: c.swap(0, 5), [Gate(GateKind.SWAP, (0, 5))]),
+        (lambda c: c.cv(5, 0), [Gate(GateKind.CV, (5, 0))]),
+        (lambda c: c.cvdag(0, 5), [Gate(GateKind.CVDAG, (0, 5))]),
+        (lambda c: c.append(Gate(GateKind.CNOT, (0, 5))), [Gate(GateKind.CNOT, (0, 5))]),
+        (lambda c: c.extend(two), two),
+        (lambda c: c.append_circuit(other), list(other.gates)),
+        (lambda c: c.extend([]), []),
+        (lambda c: c.append_circuit(Circuit(1)), []),
     ]
-    for mutate in mutators:
+    routed = route_linear(lowered)[0].gates
+    for mutate, added in mutators:
         c, _ = route_linear(lowered)
-        assert c._steps is not None
+        before = c.gates
+        kept = metrics(c)
+        assert not walked
         mutate(c)
-        assert c._steps is None
+        assert before == routed
+        assert c.gates == before + tuple(added)
         fresh = Circuit.from_arrays(c.width, c.registers, *c.as_arrays())
         assert metrics(c) == metrics(fresh)
+        assert walked == ([c, fresh] if added else [fresh])
+        if not added:
+            assert metrics(c) == kept
+        walked.clear()
