@@ -14,8 +14,10 @@ from .architecture import (
     NTC,
     ArchModel,
     ConformanceReport,
+    Metrics,
     check_conformance,
     decompose_toffoli,
+    metrics,
     route_linear,
     verify_toffoli_identity,
 )
@@ -56,7 +58,6 @@ from .scaling import (
     series,
     speedup,
 )
-from .scheduler import Metrics, metrics
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Abstract machine models and the lowering passes they require.
+"""Abstract machine models, the passes that lower to them, and ASAP depth.
 
 Two models are built in:
 
@@ -11,10 +11,18 @@ Lowering to NTC means replacing each Toffoli by the standard five-gate
 two-qubit sequence over controlled-V gates and then inserting SWAP chains
 until every gate acts on neighbors; the router refuses Toffolis.  It
 tracks the drifting layout and returns the final line position of each
-wire in use instead of undoing it.  Its Python loop only marches qubits,
-schedules and records where each input gate's operands sat when it was
-met; numpy builds every emitted gate, SWAPs included, from those
-positions afterwards.
+wire up to the highest operand instead of undoing it.  Its Python loop
+only marches qubits, schedules and records where each input gate's
+operands sat when it was met; numpy builds every emitted gate, SWAPs
+included, from those positions afterwards.
+
+``metrics`` schedules either machine by one ASAP rule: two gates conflict
+iff they share a wire, a gate lands one step past the latest gate it
+conflicts with (ties follow circuit order), and concurrency is unlimited.
+``route_linear`` keeps the step of each gate it emits, and ``metrics``
+uses those steps while there is one per gate: gates are only ever
+appended, so that is while they are current.  Any other circuit is
+walked once per call, and nothing is kept on it.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ __all__ = [
     "NTC",
     "ConformanceReport",
     "check_conformance",
+    "Metrics",
+    "metrics",
     "decompose_toffoli",
     "verify_toffoli_identity",
     "route_linear",
@@ -68,6 +78,60 @@ def check_conformance(circuit: Circuit, model: ArchModel) -> ConformanceReport:
     if bad.any():
         return ConformanceReport(False, int(bad.argmax()))
     return ConformanceReport(True, None)
+
+
+@dataclass(frozen=True)
+class Metrics:
+    depth: int
+    total_gates: int
+    width: int
+    max_concurrency: int
+    mean_concurrency: float
+
+
+def _walk_steps(circuit: Circuit) -> array:
+    """Timestep of each gate under greedy as-soon-as-possible placement.
+
+    ``ready[q]`` is the first step at which wire q is free; a gate lands
+    at the max over its operands and pushes all of them one step past
+    itself.  ``ready`` stops at the highest wire a gate touches, so a
+    large declared width costs nothing by itself."""
+    _, ops = circuit.as_arrays()
+    ready = [0] * (int(ops.max(initial=-1)) + 1)
+    steps = array("i")
+    place = steps.append
+    # an unused operand slot holds -1
+    for a, b, c in zip(*ops.T.tolist()):
+        t = ready[a]
+        if b >= 0:
+            if ready[b] > t:
+                t = ready[b]
+            if c >= 0:
+                if ready[c] > t:
+                    t = ready[c]
+                ready[c] = t + 1
+            ready[b] = t + 1
+        ready[a] = t + 1
+        place(t)
+    return steps
+
+
+def metrics(circuit: Circuit) -> Metrics:
+    """Depth/width/concurrency summary of a circuit under ASAP scheduling."""
+    # the steps ``route_linear`` kept, unless the circuit has grown since
+    steps = circuit._steps if len(circuit._steps) == len(circuit) else _walk_steps(circuit)
+    per_step = np.bincount(np.frombuffer(steps, dtype=np.int32))
+    total = len(circuit)
+    depth = len(per_step)
+    max_conc = int(per_step.max(initial=0))
+    mean = total / depth if depth else 0.0
+    return Metrics(
+        depth=depth,
+        total_gates=total,
+        width=circuit.width,
+        max_concurrency=max_conc,
+        mean_concurrency=mean,
+    )
 
 
 # -- Toffoli decomposition ---------------------------------------------
@@ -170,10 +234,6 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     each wire from 0 to the highest operand.  Wires at or above
     ``len(layout)`` never move, so each ends where it began.
 
-    Each emitted gate is scheduled ASAP (see ``scheduler``) as it is
-    emitted, and the returned circuit keeps those steps, so ``metrics`` of
-    it walks no gates again.
-
     The loop records two things per input gate: its operand positions
     ``pa``, ``pb`` as met, before any march (``pb`` = -1 for one operand),
     and the steps.  The rest follows in numpy.  A two-operand gate makes
@@ -255,3 +315,4 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     routed._extend_raw(kinds, routed_ops.reshape(-1).view(np.uint8))  # valid by construction
     routed._steps = steps
     return routed, tuple(pos)
+

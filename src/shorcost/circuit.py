@@ -19,15 +19,8 @@ these checks anything again.  A block that a builder repeats is recorded
 once, in a circuit of its own, and every repeat, its uncompute included,
 enters through ``append_circuit``.
 
-``Circuit.gates`` is a read-only tuple of ``Gate`` values, built on
-access.  A circuit that ``route_linear`` returns also keeps the ASAP
-timestep of each gate, which the router works out as it routes; no other
-code writes them.  No method removes or rewrites a gate, so the snapshot
-and the timesteps are current exactly while they hold one entry per gate,
-and they expire by length as the circuit grows.
-
 Gate order is execution order.  There is no DAG here; data dependencies
-are recovered by the scheduler from operand overlap.
+are recovered by ``metrics`` (see ``architecture``) from operand overlap.
 
 ``dumps`` writes the circuit's document as JSON indented by 2.  It and
 ``gates`` know each gate by one integer key, worked out with numpy a
@@ -235,9 +228,7 @@ class Circuit:
         self._kinds = array("B")
         self._ops = array("i")
         self._view: tuple[Gate, ...] = ()  # stale once shorter than the circuit
-        # ASAP timestep of each gate, kept by ``route_linear`` only (see
-        # ``scheduler``); stale once shorter than the circuit
-        self._steps = array("i")
+        self._steps = array("i")  # ASAP steps kept by the router (see ``architecture``)
 
     def _check_registers(self) -> None:
         seen: set[str] = set()
@@ -307,24 +298,33 @@ class Circuit:
         self._kinds.append(code)
 
     def _one(self, code: int, a: int) -> "Circuit":
-        if not 0 <= a < self.width:
-            raise _gate_error(code, (a,), self.width)
-        self._put(code, [a, -1, -1])
-        return self
+        try:
+            if 0 <= a < self.width:
+                self._put(code, [a, -1, -1])
+                return self
+        except TypeError:  # an operand such as a str or None
+            pass
+        raise _gate_error(code, (a,), self.width)
 
     def _two(self, code: int, a: int, b: int) -> "Circuit":
         w = self.width
-        if not (0 <= a < w and 0 <= b < w and a != b):
-            raise _gate_error(code, (a, b), w)
-        self._put(code, [a, b, -1])
-        return self
+        try:
+            if 0 <= a < w and 0 <= b < w and a != b:
+                self._put(code, [a, b, -1])
+                return self
+        except TypeError:  # an operand such as a str or None
+            pass
+        raise _gate_error(code, (a, b), w)
 
     def _three(self, code: int, a: int, b: int, c: int) -> "Circuit":
         w = self.width
-        if not (0 <= a < w and 0 <= b < w and 0 <= c < w and a != b and a != c and b != c):
-            raise _gate_error(code, (a, b, c), w)
-        self._put(code, [a, b, c])
-        return self
+        try:
+            if 0 <= a < w and 0 <= b < w and 0 <= c < w and a != b and a != c and b != c:
+                self._put(code, [a, b, c])
+                return self
+        except TypeError:  # an operand such as a str or None
+            pass
+        raise _gate_error(code, (a, b, c), w)
 
     def append(self, gate: Gate) -> "Circuit":
         emit = (self._one, self._two, self._three)[len(gate.operands) - 1]
@@ -512,14 +512,19 @@ class Circuit:
         """The circuit a JSON document describes.  Text in the exact layout
         ``dumps`` writes is read as arrays, and kept only if the circuit
         dumps back to the same text; any other text goes through
-        ``from_dict``, which also words every error."""
+        ``from_dict``, which also words every error.  Text nested too
+        deeply to parse raises ``CircuitError`` too."""
         try:
             c = cls.from_arrays(*_dumps_layout_arrays(text))
             if c.dumps() == text:
                 return c
-        except Exception:  # not the dumps layout, or not a valid circuit
+        except (ValueError, LookupError, TypeError, RecursionError):  # not a valid dumps layout
             pass
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise CircuitError("circuit document nests too deeply to read") from None
+        return cls.from_dict(data)
 
 
 _JSON_TYPE = {

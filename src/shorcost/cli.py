@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .architecture import NTC, check_conformance, decompose_toffoli, route_linear
+from .architecture import NTC, check_conformance, decompose_toffoli, metrics, route_linear
 from .arithmetic import (
     AdderKind,
     ModexpSpec,
@@ -53,7 +53,6 @@ from .scaling import (
     required_clock,
     series,
 )
-from .scheduler import metrics
 
 __all__ = ["run", "main"]
 

@@ -49,7 +49,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter, ne, setitem
+from operator import ne, setitem
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -288,11 +288,7 @@ def _mismatch(
     """Row flagging the states where register ``reg`` holds ``got`` but the
     spec wants something else; ``given`` are the register's input values,
     which it must keep where the spec leaves it out."""
-    name = reg.name
-    try:
-        want = list(map(itemgetter(name), expected))
-    except KeyError:  # the spec leaves the register out for some inputs
-        want = list(map(dict.get, expected, repeat(name), given))
+    want = list(map(dict.get, expected, repeat(reg.name), given))
     values = _fitting(want, reg.length)
     if values is not None:
         return _diff(got, _to_rows(values, reg.length))
@@ -351,6 +347,12 @@ def _check(
                 deque(map(setitem, batch, repeat(name), col[lo : lo + n]), 0)
             expected += map(dict, map(spec, batch))
         named = set().union(*expected)
+        if not named.issubset(names):
+            stray = next(key for answer in expected for key in answer if key not in template)
+            raise CircuitError(
+                f"spec answer names register {stray!r}, which the circuit lacks "
+                f"(it has {', '.join(names) or 'none'})"
+            )
         zeros = [0] * k
         columns = [cols.get(name, zeros) for name in names]
         bad = 0
@@ -388,7 +390,8 @@ def exhaustive_check(
     fresh dict holding every register's input value; it may keep or change
     that dict.  Its answer is copied, and each value is compared with the
     register's output by ``==``: ``3.0`` and ``True`` agree with 3 and 1,
-    while ``0.5``, ``"3"`` and ``None`` agree with no register value.
+    while ``0.5``, ``"3"`` and ``None`` agree with no register value.  An
+    answer naming a register the circuit lacks raises ``CircuitError``.
     Returns the first counterexample in product order, or None on a clean pass.
     The product is streamed, so memory does not grow with the domain, and
     the check stops at the chunk holding the first counterexample.

@@ -16,7 +16,7 @@ Everything here is a pure function of its arguments.  Wall-clock queries
 time at an application-level gate rate; `crossover_bits` locates the
 problem size where the quantum machine starts winning; `series` tabulates
 curves for log-log plotting; `empirical_bridge` compares a model curve
-against the depth the scheduler actually measures on a built circuit.
+against the depth ``metrics`` actually measures on a built circuit.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .architecture import AC, ArchModel, decompose_toffoli, route_linear
+from .architecture import AC, ArchModel, decompose_toffoli, metrics, route_linear
 from .arithmetic import AdderKind, ModexpSpec, build_modexp
-from .scheduler import metrics
 
 __all__ = [
     "MONTH_SECONDS",
@@ -153,6 +152,14 @@ ALG_F = QuantumModel(
 MODELS: dict[str, QuantumModel] = {"bcdp": BCDP, "d": ALG_D, "f": ALG_F}
 
 
+def _depth(model: QuantumModel, n: int) -> float:
+    """The model's depth at n; inf where a power of n is too large for a float."""
+    try:
+        return model.depth(n)
+    except OverflowError:
+        return math.inf
+
+
 def quantum_seconds(model: QuantumModel, n: int, clock_hz: float) -> float:
     """Wall seconds to run the model's circuit at the given gate rate.
 
@@ -162,7 +169,7 @@ def quantum_seconds(model: QuantumModel, n: int, clock_hz: float) -> float:
     _check_bits(n)
     _check_positive("clock", clock_hz)
     return _finite_result(
-        f"{model.name} time at n={n}, {clock_hz} Hz", model.depth(n) / clock_hz
+        f"{model.name} time at n={n}, {clock_hz} Hz", _depth(model, n) / clock_hz
     )
 
 
@@ -171,14 +178,16 @@ def required_clock(model: QuantumModel, n: int, wall_seconds: float) -> float:
     _check_bits(n)
     _check_positive("wall time", wall_seconds)
     return _finite_result(
-        f"{model.name} clock for n={n} in {wall_seconds} s", model.depth(n) / wall_seconds
+        f"{model.name} clock for n={n} in {wall_seconds} s", _depth(model, n) / wall_seconds
     )
 
 
 def speedup(q1: QuantumModel, q2: QuantumModel, n: int) -> float:
-    """How many times deeper q1's circuit is than q2's at size n."""
+    """How many times deeper q1's circuit is than q2's at size n; raises
+    ``ValueError`` when a depth or the ratio does not fit a float."""
     _check_bits(n)
-    return q1.depth(n) / q2.depth(n)
+    ratio = _depth(q1, n) / _depth(q2, n)
+    return _finite_result(f"{q1.name}/{q2.name} depth ratio at n={n}", ratio)
 
 
 _CROSSOVER_LO = 8
@@ -200,7 +209,7 @@ def crossover_bits(
     # Both sides may overflow to infinity this far out; the comparison
     # still orders them, so the scan uses the unchecked forms.
     def wins(n: int) -> bool:
-        return model.depth(n) / clock_hz < _sieve_seconds(classical, n)
+        return _depth(model, n) / clock_hz < _sieve_seconds(classical, n)
 
     if wins(_CROSSOVER_LO):
         return _CROSSOVER_LO
@@ -235,7 +244,8 @@ class SeriesRow:
 
 
 def _grid(n_from: int, n_to: int, points: int) -> list[int]:
-    if n_from < 2 or n_to < n_from or points < 1:
+    # the steps between the bounds are floats, which a bound past 1e307 overflows
+    if n_from < 2 or n_to < n_from or n_to > 1e307 or points < 1:
         raise ValueError(f"bad grid: from={n_from} to={n_to} points={points}")
     if points == 1 or n_from == n_to:
         return [n_from]

@@ -11,13 +11,13 @@ from shorcost.architecture import (
     _sequence_matrix,
     check_conformance,
     decompose_toffoli,
+    metrics,
     route_linear,
     verify_toffoli_identity,
 )
 from shorcost.arithmetic import AdderKind, ModexpSpec, build_adder, build_modexp
 from shorcost.circuit import GATE_ARITY, KIND_CODE, Circuit, CircuitError, Gate, GateKind
 from shorcost.oracle import simulate_mask
-from shorcost.scheduler import metrics
 
 
 def test_arch_constants():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from shorcost.architecture import metrics
 from shorcost.arithmetic import (
     AdderKind,
     ModexpSpec,
@@ -14,7 +15,6 @@ from shorcost.arithmetic import (
 from shorcost.circuit import CircuitError, GateKind
 from shorcost.contracts import contract
 from shorcost.oracle import exhaustive_check, randomized_check
-from shorcost.scheduler import metrics
 
 ALL_KINDS = list(AdderKind)
 

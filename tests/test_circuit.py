@@ -352,6 +352,35 @@ def test_loads_names_the_offending_gate():
         Circuit.from_dict(doc)
 
 
+def test_loads_refuses_a_document_nested_too_deeply():
+    """Nesting past the JSON reader's recursion limit is a ``CircuitError``,
+    at the top level and inside the header of the ``dumps`` layout."""
+    nested = "[" * 200_000 + "]" * 200_000
+    in_header = Circuit(2, [("a", 0, 1)]).cx(0, 1).dumps().replace(
+        '"registers": [', '"registers": [' + nested + ",", 1
+    )
+    for text in (nested, in_header):
+        with pytest.raises(CircuitError, match="nests too deeply"):
+            Circuit.loads(text)
+
+
+def test_loads_lets_memory_errors_through(monkeypatch):
+    """Only the errors of a text that is not in the ``dumps`` layout send
+    ``loads`` to ``from_dict``; running out of memory is not one of them."""
+    import shorcost.circuit as circuit
+
+    def exhausted(text):
+        raise MemoryError
+
+    def refuse(cls, data):
+        raise AssertionError("from_dict called")
+
+    monkeypatch.setattr(circuit, "_dumps_layout_arrays", exhausted)
+    monkeypatch.setattr(Circuit, "from_dict", classmethod(refuse))
+    with pytest.raises(MemoryError):
+        Circuit.loads(Circuit(2).cx(0, 1).dumps())
+
+
 def test_loads_rejects_non_finite_json_numbers():
     text = '{"width": 2, "registers": [], "gates": [{"kind": "NOT", "operands": [NaN]}]}'
     with pytest.raises(CircuitError):
@@ -360,8 +389,10 @@ def test_loads_rejects_non_finite_json_numbers():
 
 def test_emitters_reject_non_integer_operands_and_stay_unchanged():
     c = Circuit(3).x(0)
-    for emit in (lambda: c.cx(0.5, 1), lambda: c.ccx(0, 1.0, 2), lambda: c.x(2.5)):
-        with pytest.raises(CircuitError):
+    for emit in (lambda: c.cx(0.5, 1), lambda: c.ccx(0, 1.0, 2), lambda: c.x(2.5),
+                 lambda: c.cx("a", 1), lambda: c.ccx(0, 1, None), lambda: c.x(None),
+                 lambda: c.swap(0, "a")):
+        with pytest.raises(CircuitError, match="operands must be integers"):
             emit()
     assert c == Circuit(3).x(0)
     with pytest.raises(CircuitError):

@@ -348,13 +348,52 @@ def test_scale_rejects_overflowing_times(capsys):
                 "--from", "512", "--to", "1024"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "overflows" in captured.err
+    assert run(["scale", "--to", str(10**400)]) == 2  # the grid's steps are floats
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad grid" in captured.err
+
+
+def test_scale_grid_and_list_edges(capsys):
+    for argv in (["--points", "1"], ["--from", "600", "--to", "600"]):
+        assert run(["scale", "--clocks", "1", "--compute-factors", "1", *argv]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        n = rows[0]["n"]
+        assert [(r["series"], r["n"]) for r in rows] == [("BCDP", n), ("nfs", n)]
+    for argv, message in (
+        (["scale", "--from", "10", "--to", "5"], "bad grid"),
+        (["scale", "--clocks", "1,abc"], "bad numeric list"),
+        (["crossover", "--model", "bcdp", "--clock", "abc"], "invalid float value"),
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
+def test_deeply_nested_documents_exit_2(tmp_path, capsys):
+    nested = "[" * 200_000 + "]" * 200_000
+    top = tmp_path / "top.json"
+    top.write_text(nested)
+    header = tmp_path / "header.json"
+    assert run(["build", "--kind", "adder", "--n", "2", "--out", str(header)]) == 0
+    header.write_text(
+        header.read_text().replace('"registers": [', '"registers": [' + nested + ",", 1)
+    )
+    for argv in (["estimate", "--circuit", str(top), "--arch", "ac"],
+                 ["verify", "--circuit", str(header), "--spec", "adder"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("shorcost: ") and "nests too deeply" in captured.err
 
 
 def test_clock_for_rejects_overflowing_clock(capsys):
-    assert run(["clock-for", "--model", "bcdp", "--bits", "576",
-                "--wall", "1e-300"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "overflows" in captured.err
+    # a tiny wall time, then bit sizes whose powers do not fit a float
+    for model, bits, wall in (("bcdp", 576, "1e-300"), ("bcdp", 10**110, "1mo"),
+                              ("f", 10**400, "1mo")):
+        assert run(["clock-for", "--model", model, "--bits", str(bits),
+                    "--wall", wall]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows" in captured.err
 
 
 @pytest.mark.parametrize(

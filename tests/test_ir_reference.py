@@ -19,14 +19,16 @@ from shorcost.architecture import (
     NTC,
     ArchModel,
     ConformanceReport,
+    Metrics,
+    _walk_steps,
     check_conformance,
     decompose_toffoli,
+    metrics,
     route_linear,
 )
 from shorcost.arithmetic import AdderKind, ModexpSpec, build_modexp
 from shorcost.circuit import GATE_ARITY, Circuit, CircuitError, Gate, GateKind
 from shorcost.oracle import NonClassicalGateError, simulate_mask
-from shorcost.scheduler import Metrics, _walk_steps, metrics
 
 # ---------------------------------------------------------------------------
 # per-gate references

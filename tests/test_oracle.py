@@ -446,6 +446,25 @@ def test_domain_naming_missing_register_is_rejected():
         randomized_check(c, _xor_spec(c), {"t": range(2)}, trials=4, seed=0)
 
 
+def test_spec_answer_naming_missing_register_is_rejected():
+    """An answer key the circuit has no register for is refused, not
+    silently passed over; both checks share the rule."""
+    c = Circuit(4, [("r", 0, 4)])
+    domain = {"r": range(16)}
+
+    def add_3_into(key):
+        return lambda v: {key: (v["r"] + 3) % 16}
+
+    assert exhaustive_check(c, add_3_into("r"), domain) is not None
+    with pytest.raises(CircuitError, match="'rr', which the circuit lacks"):
+        exhaustive_check(c, add_3_into("rr"), domain)
+    with pytest.raises(CircuitError, match="'rr', which the circuit lacks"):
+        randomized_check(c, add_3_into("rr"), domain, trials=8, seed=0)
+    # the first stray name in answer order, even where other keys are fine
+    with pytest.raises(CircuitError, match="'s'"):
+        exhaustive_check(c, lambda v: {"r": v["r"], "s": 0, "t": 1}, domain)
+
+
 @pytest.mark.parametrize(
     "bad",
     [0.5, 1.0, "1", None, [1], np.float64(1)],

@@ -242,6 +242,20 @@ def test_overflowing_results_are_rejected():
         required_clock(BCDP, 576, 1e-300)
     with pytest.raises(ValueError, match="overflows"):
         nfs_seconds(ClassicalModel(), 1 << 20)
+    # a power of n too large an int for a float
+    for model, n in ((BCDP, 10**110), (ALG_D, 10**400), (ALG_F, 10**400)):
+        with pytest.raises(ValueError, match="overflows"):
+            quantum_seconds(model, n, 1e9)
+        with pytest.raises(ValueError, match="overflows"):
+            required_clock(model, n, MONTH_SECONDS)
+    with pytest.raises(ValueError, match="overflows"):
+        speedup(BCDP, ALG_D, 10**110)
+    with pytest.raises(ValueError, match="overflows"):
+        speedup(ALG_D, BCDP, 10**400)
+    with pytest.raises(ValueError, match="bad grid"):
+        series([BCDP], [1.0], [], 512, 10**400, 8)
+    with pytest.raises(ValueError, match="bad grid"):
+        series([BCDP], [1.0], [], 10**400, 10**401, 2)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             quantum_seconds(BCDP, 576, bad)

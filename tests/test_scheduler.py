@@ -1,10 +1,9 @@
 import random
 import tracemalloc
 
-from shorcost.architecture import decompose_toffoli, route_linear
+from shorcost import architecture
+from shorcost.architecture import _walk_steps, decompose_toffoli, metrics, route_linear
 from shorcost.circuit import GATE_ARITY, Circuit, Gate, GateKind
-from shorcost import scheduler
-from shorcost.scheduler import _walk_steps, metrics
 
 
 def longest_path_depth(circuit):
@@ -123,7 +122,7 @@ def test_kept_steps_and_snapshot_expire_when_gates_are_appended(monkeypatch):
     mutator that appends nothing leaves the kept steps in use."""
     walked = []
     monkeypatch.setattr(
-        scheduler, "_walk_steps", lambda c: walked.append(c) or _walk_steps(c)
+        architecture, "_walk_steps", lambda c: walked.append(c) or _walk_steps(c)
     )
     rng = random.Random(11)
     lowered = decompose_toffoli(_random_circuit(rng, 6, 40))
