@@ -95,8 +95,14 @@ def _walk_steps(circuit: Circuit) -> array:
     ``ready[q]`` is the first step at which wire q is free; a gate lands
     at the max over its operands and pushes all of them one step past
     itself.  ``ready`` stops at the highest wire a gate touches, so a
-    large declared width costs nothing by itself."""
+    large declared width costs nothing by itself.  Where that wire is
+    past the number of operand slots, the touched wires are renumbered
+    densely first, so ``ready`` never outgrows the gates."""
     _, ops = circuit.as_arrays()
+    if int(ops.max(initial=-1)) + 1 > ops.size:
+        wires, dense = np.unique(ops.reshape(-1), return_inverse=True)
+        # -1, when present, is the smallest value and stays -1
+        ops = dense.reshape(ops.shape) - int(wires[0] < 0)
     ready = [0] * (int(ops.max(initial=-1)) + 1)
     steps = array("i")
     place = steps.append

@@ -289,11 +289,15 @@ def build_controlled_adder(kind: AdderKind, n: int) -> Circuit:
 class _ModAddLane:
     """Shared scratch for modular additions: one (n+1)-bit adder channel.
 
-    ``passes`` keeps, per target, the lane's adder pass onto that target
-    and its inverse, each emitted once into a circuit of its own and then
-    replayed by every modular add on the target.  The adder kind, ``k``,
-    ``cout`` and the ancillae are fixed per lane, and a lane belongs to one
-    circuit, so a pass depends on nothing but the target.
+    Every block a modular add repeats is recorded once, in a circuit of its
+    own, and replayed with ``append_circuit``.  ``blocks`` holds those that
+    are the same in every add on the lane, keyed by what each depends on:
+    the adder pass onto a target and its inverse by the target, and a load
+    of the modulus into ``k`` by the modulus and its guard (``active``, or
+    ``flag`` for the fix-up).  The adder kind, ``k``, ``cout``, ``flag``
+    and the ancillae are fixed per lane, and a lane belongs to one circuit,
+    so nothing else can change a block.  The addend load changes from one
+    add to the next and is recorded by ``_emit_modadd`` itself.
     """
 
     hi: int
@@ -302,17 +306,37 @@ class _ModAddLane:
     flag: int
     adder_kind: AdderKind
     adder_anc: dict
-    passes: dict[tuple[int, ...], tuple[Circuit, Circuit]] = field(default_factory=dict)
+    blocks: dict[tuple, Circuit] = field(default_factory=dict)
 
     def adder_passes(self, width: int, target: list[int]) -> tuple[Circuit, Circuit]:
         """``w <- w + k`` and ``w <- w - k`` for ``w`` = ``target`` plus ``hi``,
         as circuits of ``width`` wires."""
-        key = tuple(target)
-        if key not in self.passes:
+        add_key, sub_key = ("add", *target), ("sub", *target)
+        if add_key not in self.blocks:
             add = Circuit(width)
             _emit_adder(add, self.adder_kind, self.k, target + [self.hi], self.cout, self.adder_anc)
-            self.passes[key] = (add, add.inverse())
-        return self.passes[key]
+            self.blocks[add_key] = add
+            self.blocks[sub_key] = add.inverse()
+        return self.blocks[add_key], self.blocks[sub_key]
+
+    def modulus_load(self, width: int, modulus: int, guard: int | None) -> Circuit:
+        """``k ^= modulus`` under ``guard`` (always, if None), as a circuit
+        of ``width`` wires."""
+        key = ("load", modulus, guard)
+        if key not in self.blocks:
+            self.blocks[key] = self.load(width, modulus, guard)
+        return self.blocks[key]
+
+    def load(self, width: int, value: int, guard: int | None) -> Circuit:
+        """A new circuit of ``width`` wires that sets ``k ^= value`` under
+        ``guard`` (always, if None)."""
+        c = Circuit(width)
+        for bit in _setbits(value):
+            if guard is None:
+                c.x(self.k[bit])
+            else:
+                c.cx(guard, self.k[bit])
+        return c
 
 
 def _alloc_lane(lay: _Layout, kind: AdderKind, n: int, prefix: str = "") -> _ModAddLane:
@@ -345,37 +369,28 @@ def _emit_modadd(
     the whole add is the identity.  ``select=(sel, other)`` (which needs
     ``active``) loads ``other`` in place of ``addend`` where ``sel`` is set,
     so one guard qubit still gates the whole add.
+
+    Every block the add repeats is recorded once and replayed with
+    ``append_circuit``: the addend load, which is its own inverse, is
+    recorded here and replayed four times; the adder passes, the modulus
+    load and the flag fix-up come from the lane's ``blocks``.  Only the
+    four gates that set and clear ``flag`` enter one at a time.
     """
-    add, sub = lane.adder_passes(c.width, target)
+    w = c.width
+    add, sub = lane.adder_passes(w, target)
+    load_modulus = lane.modulus_load(w, modulus, active)
+    fixup = lane.modulus_load(w, modulus, lane.flag)
+    load_addend = lane.load(w, addend, active)
+    if select is not None:
+        sel, other = select
+        for bit in _setbits(addend ^ other):
+            load_addend.ccx(sel, active, lane.k[bit])
 
-    def load(value: int) -> None:
-        for bit in _setbits(value):
-            if active is None:
-                c.x(lane.k[bit])
-            else:
-                c.cx(active, lane.k[bit])
-
-    def load_addend() -> None:  # self-inverse, so it also unloads
-        load(addend)
-        if select is not None:
-            sel, other = select
-            for bit in _setbits(addend ^ other):
-                c.ccx(sel, active, lane.k[bit])
-
-    load_addend()
-    c.append_circuit(add)
-    load_addend()
-    load(modulus)
-    c.append_circuit(sub)
-    load(modulus)
+    for block in (load_addend, add, load_addend, load_modulus, sub, load_modulus):
+        c.append_circuit(block)
     c.cx(lane.cout, lane.flag)
-    for bit in _setbits(modulus):
-        c.cx(lane.flag, lane.k[bit])
-    c.append_circuit(add)
-    for bit in _setbits(modulus):
-        c.cx(lane.flag, lane.k[bit])
-    load_addend()
-    c.append_circuit(sub)
+    for block in (fixup, add, fixup, load_addend, sub):
+        c.append_circuit(block)
     c.x(lane.cout)
     if active is None:
         c.cx(lane.cout, lane.flag)
@@ -383,7 +398,7 @@ def _emit_modadd(
         c.ccx(active, lane.cout, lane.flag)
     c.x(lane.cout)
     c.append_circuit(add)
-    load_addend()
+    c.append_circuit(load_addend)
 
 
 def _check_modulus(n: int, modulus: int) -> None:

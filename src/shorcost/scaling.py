@@ -22,6 +22,7 @@ against the depth ``metrics`` actually measures on a built circuit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -250,11 +251,15 @@ def _grid(n_from: int, n_to: int, points: int) -> list[int]:
     if points == 1 or n_from == n_to:
         return [n_from]
     ratio = (n_to / n_from) ** (1.0 / (points - 1))
-    grid: list[int] = []
-    for i in range(points):
-        n = round(n_from * ratio**i)
-        if not grid or n > grid[-1]:
-            grid.append(n)
+
+    def size(i: int) -> int:
+        return round(n_from * ratio**i)
+
+    # point i gives size(i), which never falls as i grows, so the first
+    # point past each size is found by bisection: one search per size
+    grid, i = [size(0)], 0
+    while (i := bisect_right(range(points), grid[-1], lo=i + 1, key=size)) < points:
+        grid.append(size(i))
     return grid
 
 

@@ -342,6 +342,32 @@ def test_console_script_entry_point():
     assert proc.stdout == "3981.3 Hz\n"
 
 
+def test_ac_depth_of_one_gate_on_a_high_wire_fits_in_2_gib(tmp_path):
+    """AC depth needs only the wires a circuit touches: a one-CNOT document
+    of width 2^31 - 1 on wire 2^31 - 2 is estimated under a 2 GiB address
+    space limit, where a ready time per wire up to the highest would not fit."""
+    pytest.importorskip("resource")
+    doc = tmp_path / "high.json"
+    doc.write_text(json.dumps({"width": (1 << 31) - 1, "registers": [],
+                               "gates": [{"kind": "CNOT", "operands": [0, (1 << 31) - 2]}]}))
+    assert doc.stat().st_size == 96
+    src = str(Path(shorcost.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({2 << 30}, {2 << 30}))\n"
+        "from shorcost.cli import run\n"
+        "sys.exit(run(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "estimate", "--circuit", str(doc), "--arch", "ac"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["depth"], report["total_gates"], report["width"]) == (1, 1, (1 << 31) - 1)
+
+
 def test_scale_rejects_overflowing_times(capsys):
     assert run(["scale", "--models", "bcdp", "--clocks", "1e-320",
                 "--compute-factors", "", "--points", "2",

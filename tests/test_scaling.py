@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shorcost.architecture import AC, NTC
 from shorcost.arithmetic import AdderKind, ModexpSpec
@@ -17,6 +19,7 @@ from shorcost.scaling import (
     nfs_seconds,
     quantum_seconds,
     required_clock,
+    _grid,
     series,
     speedup,
 )
@@ -171,6 +174,35 @@ def test_series_grid_endpoints():
     assert len(ns) == 8
     # geometric grid: on a power-of-two span the points are exact octaves
     assert ns == [512 << i for i in range(8)]
+
+
+def _grid_by_every_point(n_from, n_to, points):
+    """The grid as one pass over every point, keeping each new size."""
+    if points == 1 or n_from == n_to:
+        return [n_from]
+    ratio = (n_to / n_from) ** (1.0 / (points - 1))
+    grid = []
+    for i in range(points):
+        n = round(n_from * ratio**i)
+        if not grid or n > grid[-1]:
+            grid.append(n)
+    return grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_from=st.integers(2, 10**6),
+    span=st.one_of(st.integers(0, 300), st.integers(0, 10**9)),
+    points=st.integers(1, 5000),
+)
+def test_grid_equals_a_pass_over_every_point(n_from, span, points):
+    n_to = n_from + span
+    assert _grid(n_from, n_to, points) == _grid_by_every_point(n_from, n_to, points)
+
+
+def test_grid_costs_one_search_per_size_not_one_step_per_point():
+    # 10^10 points over 513 sizes: a pass over every point would run for hours
+    assert _grid(512, 1024, 10**10) == list(range(512, 1025))
 
 
 def test_quantum_series_are_straight_in_log_log():

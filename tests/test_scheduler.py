@@ -77,6 +77,18 @@ def test_depth_equals_longest_path_on_random_circuits():
         assert len(_walk_steps(c)) == len(c)
 
 
+def test_steps_do_not_depend_on_how_far_apart_the_wires_are():
+    """Wires spread out past the operand slots are renumbered densely
+    before the walk; the steps are those of the circuit on dense wires."""
+    rng = random.Random(5)
+    for _ in range(50):
+        c = _random_circuit(rng, rng.randint(1, 10), rng.randint(0, 60))
+        spread = Circuit(10_000 * c.width)
+        for g in c.gates:
+            spread.append(Gate(g.kind, tuple(10_000 * q + 9_999 for q in g.operands)))
+        assert list(_walk_steps(spread)) == list(_walk_steps(c))
+
+
 def test_same_timestep_permutation_is_depth_neutral():
     rng = random.Random(7)
     for _ in range(25):
