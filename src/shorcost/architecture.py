@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import permutations
+from typing import Iterable
 
 import numpy as np
 
@@ -68,9 +70,7 @@ class ConformanceReport:
 
 def check_conformance(circuit: Circuit, model: ArchModel) -> ConformanceReport:
     """Check every gate against the model's arity and adjacency rules."""
-    # views of the gate arrays, dropped on return (see ``Circuit._keys``)
-    kinds = np.frombuffer(circuit._kinds, dtype=np.uint8)
-    ops = np.frombuffer(circuit._ops, dtype=np.int32).reshape(-1, 3)
+    kinds, ops = circuit._table()
     arity = _ARITY[kinds]
     bad = arity > model.max_arity
     if model.adjacency_required:
@@ -97,8 +97,9 @@ def _walk_steps(circuit: Circuit) -> array:
     itself.  ``ready`` stops at the highest wire a gate touches, so a
     large declared width costs nothing by itself.  Where that wire is
     past the number of operand slots, the touched wires are renumbered
-    densely first, so ``ready`` never outgrows the gates."""
-    _, ops = circuit.as_arrays()
+    densely first, so ``ready`` never outgrows the gates.  The operands
+    become lists 65,536 gates at a time: the walk keeps little but steps."""
+    _, ops = circuit._table()
     if int(ops.max(initial=-1)) + 1 > ops.size:
         wires, dense = np.unique(ops.reshape(-1), return_inverse=True)
         # -1, when present, is the smallest value and stays -1
@@ -107,18 +108,19 @@ def _walk_steps(circuit: Circuit) -> array:
     steps = array("i")
     place = steps.append
     # an unused operand slot holds -1
-    for a, b, c in zip(*ops.T.tolist()):
-        t = ready[a]
-        if b >= 0:
-            if ready[b] > t:
-                t = ready[b]
-            if c >= 0:
-                if ready[c] > t:
-                    t = ready[c]
-                ready[c] = t + 1
-            ready[b] = t + 1
-        ready[a] = t + 1
-        place(t)
+    for lo in range(0, len(ops), 1 << 16):
+        for a, b, c in zip(*ops[lo : lo + (1 << 16)].T.tolist()):
+            t = ready[a]
+            if b >= 0:
+                if ready[b] > t:
+                    t = ready[b]
+                if c >= 0:
+                    if ready[c] > t:
+                        t = ready[c]
+                    ready[c] = t + 1
+                ready[b] = t + 1
+            ready[a] = t + 1
+            place(t)
     return steps
 
 
@@ -148,7 +150,7 @@ def decompose_toffoli(circuit: Circuit) -> Circuit:
 
     Other gates pass through unchanged; order is otherwise preserved.
     """
-    kinds, ops = circuit.as_arrays()
+    kinds, ops = circuit._table()
     toffoli = kinds == _TOFFOLI
     count = np.where(toffoli, 5, 1)
     first = (np.cumsum(count) - count)[toffoli]  # where each expansion starts
@@ -162,9 +164,7 @@ def decompose_toffoli(circuit: Circuit) -> Circuit:
         out_kinds[first + step] = kind
         out_ops[first + step] = np.stack([*pair, unused], axis=1)
     # computed from a valid circuit, so not checked again (see ``Circuit``)
-    out = Circuit(circuit.width, circuit.registers)
-    out._extend_raw(out_kinds, out_ops.reshape(-1).view(np.uint8))
-    return out
+    return Circuit._from_valid(circuit.width, circuit.registers, out_kinds, out_ops)
 
 
 # Exact dyadic entries: V = sqrt(NOT), so V^2 = NOT and V V^dag = I.
@@ -197,7 +197,7 @@ def _gate_matrix(gate: Gate, width: int) -> np.ndarray:
     return m
 
 
-def _sequence_matrix(gates: list[Gate], width: int) -> np.ndarray:
+def _sequence_matrix(gates: Iterable[Gate], width: int) -> np.ndarray:
     u = np.eye(1 << width, dtype=complex)
     for g in gates:
         u = _gate_matrix(g, width) @ u
@@ -205,22 +205,19 @@ def _sequence_matrix(gates: list[Gate], width: int) -> np.ndarray:
 
 
 def verify_toffoli_identity() -> bool:
-    """Exact 8x8 check that the five-gate CV sequence equals TOFFOLI(0,1,2).
+    """Exact 8x8 check that what ``decompose_toffoli`` emits for
+    TOFFOLI(a, b, t) equals it, for all six orderings of three wires.
 
     All entries involved are dyadic rationals, so the float comparison is
     exact; no tolerance is applied.
     """
-    a, b, t = 0, 1, 2
-    seq = [
-        Gate(GateKind.CV, (b, t)),
-        Gate(GateKind.CNOT, (a, b)),
-        Gate(GateKind.CVDAG, (b, t)),
-        Gate(GateKind.CNOT, (a, b)),
-        Gate(GateKind.CV, (a, t)),
-    ]
-    built = _sequence_matrix(seq, 3)
-    want = _gate_matrix(Gate(GateKind.TOFFOLI, (a, b, t)), 3)
-    return bool(np.array_equal(built, want))
+    return all(
+        np.array_equal(
+            _sequence_matrix(decompose_toffoli(Circuit(3).ccx(*wires)).gates, 3),
+            _gate_matrix(Gate(GateKind.TOFFOLI, wires), 3),
+        )
+        for wires in permutations(range(3))
+    )
 
 
 # -- linear routing ----------------------------------------------------
@@ -249,7 +246,7 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     1``; and the gate itself acts on ``(pb - 1, pb)`` when ``pa < pb``,
     else on ``(pa, pa - 1)``.
     """
-    kinds_in, ops_in = circuit.as_arrays()
+    kinds_in, ops_in = circuit._table()
     three = np.flatnonzero(ops_in[:, 2] >= 0)  # an unused operand slot holds -1
     if three.size:
         raise CircuitError(f"gates[{three[0]}]: cannot route a TOFFOLI; run decompose_toffoli first")
@@ -317,8 +314,8 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     routed_ops[land, 1] = np.where(two, np.where(up, pb, pa - 1), -1)
     kinds = np.full(total, _SWAP, dtype=np.uint8)
     kinds[land] = kinds_in
-    routed = Circuit(circuit.width, circuit.registers)
-    routed._extend_raw(kinds, routed_ops.reshape(-1).view(np.uint8))  # valid by construction
+    # valid by construction
+    routed = Circuit._from_valid(circuit.width, circuit.registers, kinds, routed_ops)
     routed._steps = steps
     return routed, tuple(pos)
 

@@ -8,16 +8,16 @@ adjoint) that appear only after Toffoli decomposition.
 
 Gates are stored as two flat arrays: one ``uint8`` kind code per gate
 (``KIND_CODE``) and an ``int32`` operand table with three slots per gate,
--1 marking an unused slot.  Every gate is validated once, where it enters:
-the emitters (``append``, ``x``, ``cx``, ...) check each gate with plain
-int comparisons, ``from_dict`` hands each gate of a document, in order,
-to ``Gate`` and ``append``, and only ``from_arrays`` checks a whole array
-at a time.  ``append_circuit`` only copies gates that were checked when
-they entered the circuit it copies, and the lowering passes hand the
-gates they compute from a valid circuit to ``_extend_raw``, so none of
-these checks anything again.  A block that a builder repeats is recorded
-once, in a circuit of its own, and every repeat, its uncompute included,
-enters through ``append_circuit``.
+-1 marking an unused slot.  Only this module touches them: a pass reads
+``_table()`` and builds through ``_from_valid``.  Every gate is validated
+once, where it enters: the emitters (``append``, ``x``, ``cx``, ...)
+check each gate with plain int comparisons, ``from_dict`` hands each gate
+of a document, in order, to ``Gate`` and ``append``, and only
+``from_arrays`` checks a whole array at a time.  ``append_circuit`` and
+``_from_valid`` take gates computed from circuits that were checked, so
+neither checks anything again.  A block that a builder repeats is
+recorded once, in a circuit of its own, and every repeat, its uncompute
+included, enters through ``append_circuit``.
 
 Gate order is execution order.  There is no DAG here; data dependencies
 are recovered by ``metrics`` (see ``architecture``) from operand overlap.
@@ -98,7 +98,7 @@ _KIND_BY_NAME = {kind.value: kind for kind in _KINDS}
 _UNKNOWN = 255  # code of a kind name the ``dumps``-layout reader does not know
 _ARITIES = tuple(GATE_ARITY[kind] for kind in _KINDS)
 _ARITY = np.array(_ARITIES, dtype=np.int8)
-_INVERSE_CODES = bytes(KIND_CODE[_INVERSE_KIND[kind]] for kind in _KINDS).ljust(256, b"\0")
+_INVERSE_CODE = np.array([KIND_CODE[_INVERSE_KIND[kind]] for kind in _KINDS], np.uint8)
 
 _MAX_WIDTH = 1 << 31  # int32 operands index at most 2^31 wires
 _SLICE = 4096  # gates whose keys ``_each_distinct`` works out at a time
@@ -276,19 +276,19 @@ class Circuit:
             code = int(kinds[bad])
             used = tuple(int(q) for q in ops[bad, : _ARITIES[code]])
             raise CircuitError(f"gates[{bad}]: {_gate_error(code, used, width)}")
-        # checked above, so narrowing cannot wrap; each is copied only once
-        kinds = np.ascontiguousarray(kinds, np.uint8)
-        ops = np.ascontiguousarray(ops, np.int32).reshape(-1).view(np.uint8)
-        c._extend_raw(kinds, ops)
+        return cls._from_valid(c.width, c.registers, kinds, ops)
+
+    @classmethod
+    def _from_valid(cls, width: int, registers: Iterable[Register], kinds, ops) -> "Circuit":
+        """A circuit holding gates known to be valid on ``width`` wires, as integer
+        arrays in the ``as_arrays`` layout; narrowing cannot wrap, and each is
+        copied once."""
+        c = cls(width, registers)
+        c._kinds.frombytes(np.ascontiguousarray(kinds, np.uint8))
+        c._ops.frombytes(np.ascontiguousarray(ops, np.int32).reshape(-1).view(np.uint8))
         return c
 
     # -- construction ------------------------------------------------
-
-    def _extend_raw(self, kinds: bytes | np.ndarray, ops: bytes | np.ndarray) -> None:
-        """Append gates given as raw kind codes and operand slots that are
-        already known to be valid, as bytes or 1-D ``uint8`` arrays."""
-        self._kinds.frombytes(kinds)
-        self._ops.frombytes(ops)
 
     def _put(self, code: int, slots: list) -> None:
         try:
@@ -408,7 +408,7 @@ class Circuit:
         Gates never change once appended, so the iterator stays right if the
         circuit grows; it yields the gates there were when it was made."""
         n = len(self)
-        radix = int(np.frombuffer(self._ops, dtype=np.int32).max(initial=-1)) + 2
+        radix = int(self._table()[1].max(initial=-1)) + 2
         dtype = np.int64 if len(_KINDS) * radix**3 < 1 << 63 else object
         look_up = _Made(make, radix).__getitem__
         return chain.from_iterable(
@@ -417,22 +417,27 @@ class Circuit:
         )
 
     def _keys(self, lo: int, hi: int, radix: int, dtype: type) -> list[int]:
-        """The keys of ``_each_distinct`` for gates ``lo:hi``.  The views of
-        the gate arrays end with the call: an ``array`` cannot grow while a
-        view of its buffer is alive."""
-        key = np.frombuffer(self._kinds, np.uint8, hi - lo, lo).astype(dtype)
-        ops = np.frombuffer(self._ops, np.int32, 3 * (hi - lo), 12 * lo).reshape(-1, 3)
-        for slot in ops.T:
+        """The keys of ``_each_distinct`` for gates ``lo:hi``."""
+        kinds, ops = self._table()
+        key = kinds[lo:hi].astype(dtype)
+        for slot in ops[lo:hi].T:
             key = key * radix + (slot + 1)
         return key.tolist()
+
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of the gates in the ``as_arrays`` layout.  Drop them
+        before the circuit grows: appending raises ``BufferError`` while one lives."""
+        kinds = np.frombuffer(self._kinds, dtype=np.uint8)
+        ops = np.frombuffer(self._ops, dtype=np.int32).reshape(-1, 3)
+        kinds.flags.writeable = ops.flags.writeable = False
+        return kinds, ops
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the gate arrays: ``uint8`` kind codes (see ``KIND_CODE``)
         of shape (n,), and ``int32`` operands of shape (n, 3), with -1 in
         the slots past each gate's arity."""
-        kinds = np.frombuffer(self._kinds, dtype=np.uint8).copy()
-        ops = np.frombuffer(self._ops, dtype=np.int32).reshape(-1, 3).copy()
-        return kinds, ops
+        kinds, ops = self._table()
+        return kinds.copy(), ops.copy()
 
     def register(self, name: str) -> Register:
         for r in self.registers:
@@ -442,16 +447,14 @@ class Circuit:
 
     def census(self) -> dict[GateKind, int]:
         """Gate counts by kind; every kind is present, zero included."""
-        counts = np.bincount(np.frombuffer(self._kinds, dtype=np.uint8), minlength=len(_KINDS))
+        counts = np.bincount(self._table()[0], minlength=len(_KINDS))
         return {kind: int(n) for kind, n in zip(_KINDS, counts)}
 
     def inverse(self) -> "Circuit":
         """Reversed gate order with each gate replaced by its inverse."""
-        inv = Circuit(self.width, self.registers)
-        kinds = bytes(self._kinds)[::-1].translate(_INVERSE_CODES)  # CV and CVDAG trade places
-        ops = np.frombuffer(self._ops, dtype=np.int32).reshape(-1, 3)[::-1].tobytes()
-        inv._extend_raw(kinds, ops)  # the inverse of a valid gate acts on the same wires
-        return inv
+        kinds, ops = self._table()
+        # CV and CVDAG trade places; the inverse of a valid gate acts on the same wires
+        return self._from_valid(self.width, self.registers, _INVERSE_CODE[kinds[::-1]], ops[::-1])
 
     # -- serialization -----------------------------------------------
 

@@ -78,7 +78,7 @@ slots, an unused slot holding -1."""
 def _program(circuit: Circuit) -> tuple[_Program, int]:
     """The gate columns, and the number of wires in use: one past the
     highest wire that a gate or a register touches."""
-    kinds, ops = circuit.as_arrays()
+    kinds, ops = circuit._table()
     ends = [r.offset + r.length for r in circuit.registers]
     wires = max([int(ops.max(initial=-1)) + 1, *ends])
     return (kinds.tolist(), *ops.T.tolist()), wires

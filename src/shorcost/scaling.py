@@ -250,10 +250,9 @@ def _grid(n_from: int, n_to: int, points: int) -> list[int]:
         raise ValueError(f"bad grid: from={n_from} to={n_to} points={points}")
     if points == 1 or n_from == n_to:
         return [n_from]
-    ratio = (n_to / n_from) ** (1.0 / (points - 1))
 
     def size(i: int) -> int:
-        return round(n_from * ratio**i)
+        return round(n_from * (n_to / n_from) ** (i / (points - 1)))
 
     # point i gives size(i), which never falls as i grows, so the first
     # point past each size is found by bisection: one search per size

@@ -4,6 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from shorcost import architecture
 from shorcost.architecture import (
     AC,
     NTC,
@@ -47,6 +48,20 @@ def test_conformance_ntc_rejects_arity_and_distance():
 
 def test_verify_toffoli_identity():
     assert verify_toffoli_identity()
+
+
+@pytest.mark.parametrize(
+    "mutate", [lambda g: g[:-1], lambda g: (g[1], g[0]) + g[2:]], ids=["dropped", "swapped"]
+)
+def test_verify_toffoli_identity_checks_what_decompose_toffoli_emits(monkeypatch, mutate):
+    """Dropping or swapping a gate of the emitted sequence fails the check."""
+    real = decompose_toffoli
+
+    def mutated(circuit):
+        return Circuit(circuit.width).extend(mutate(real(circuit).gates))
+
+    monkeypatch.setattr(architecture, "decompose_toffoli", mutated)
+    assert not verify_toffoli_identity()
 
 
 def test_decomposition_is_exactly_five_two_qubit_gates():

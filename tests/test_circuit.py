@@ -412,6 +412,24 @@ def test_gates_is_a_read_only_snapshot():
     assert len(snapshot) == 2 and len(c.gates) == 3
 
 
+def test_table_views_are_read_only_and_must_be_dropped_before_growing():
+    c = Circuit(3).x(0).cx(0, 1)
+    kinds, ops = c._table()
+    assert kinds.tolist() == [KIND_CODE[GateKind.NOT], KIND_CODE[GateKind.CNOT]]
+    assert ops.tolist() == [[0, -1, -1], [0, 1, -1]]
+    with pytest.raises(ValueError, match="read-only"):
+        kinds[0] = KIND_CODE[GateKind.SWAP]
+    with pytest.raises(ValueError, match="read-only"):
+        ops[1, 1] = 2
+    with pytest.raises(BufferError):
+        c.x(2)
+    del kinds, ops
+    c.x(2)
+    assert c.gates == (
+        Gate(GateKind.NOT, (0,)), Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.NOT, (2,)),
+    )
+
+
 def test_extend():
     c = Circuit(3).extend([Gate(GateKind.NOT, (0,)), Gate(GateKind.CV, (0, 1))])
     assert [(g.kind, g.operands) for g in c.gates] == [

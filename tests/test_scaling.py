@@ -180,10 +180,9 @@ def _grid_by_every_point(n_from, n_to, points):
     """The grid as one pass over every point, keeping each new size."""
     if points == 1 or n_from == n_to:
         return [n_from]
-    ratio = (n_to / n_from) ** (1.0 / (points - 1))
     grid = []
     for i in range(points):
-        n = round(n_from * ratio**i)
+        n = round(n_from * (n_to / n_from) ** (i / (points - 1)))
         if not grid or n > grid[-1]:
             grid.append(n)
     return grid
@@ -203,6 +202,13 @@ def test_grid_equals_a_pass_over_every_point(n_from, span, points):
 def test_grid_costs_one_search_per_size_not_one_step_per_point():
     # 10^10 points over 513 sizes: a pass over every point would run for hours
     assert _grid(512, 1024, 10**10) == list(range(512, 1025))
+
+
+def test_grid_reaches_its_upper_bound_at_any_number_of_points():
+    # a ratio raised to the i-th power drifts: it stopped at 997 for 10^15
+    # points and at the first size for 10^16
+    assert _grid(512, 1024, 10**16) == list(range(512, 1025))
+    assert _grid(512, 1024, 10**15) == list(range(512, 1025))
 
 
 def test_quantum_series_are_straight_in_log_log():

@@ -3,6 +3,7 @@ import tracemalloc
 
 from shorcost import architecture
 from shorcost.architecture import _walk_steps, decompose_toffoli, metrics, route_linear
+from shorcost.arithmetic import ModexpSpec, build_modexp
 from shorcost.circuit import GATE_ARITY, Circuit, Gate, GateKind
 
 
@@ -45,6 +46,21 @@ def test_per_wire_state_is_sized_by_the_wires_in_use():
         tracemalloc.stop()
     assert (m.depth, m.total_gates, m.width) == (1, 1, 1 << 22)
     assert peak < 4 << 20
+
+
+def test_metrics_walk_holds_few_bytes_per_gate():
+    """Serial CDKM modexp at n=16: the walk turns the operands into lists a
+    slice at a time, so the peak is the steps, their histogram and the
+    integer copy ``bincount`` makes, not three lists of the whole table."""
+    c = build_modexp(ModexpSpec(n=16, modulus=40009, base=2))
+    tracemalloc.start()
+    try:
+        m = metrics(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.depth, m.total_gates) == (458_106, 592_929)
+    assert peak <= 20 * len(c), peak / len(c)
 
 
 def test_metrics_fields():
