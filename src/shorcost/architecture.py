@@ -97,8 +97,10 @@ def _walk_steps(circuit: Circuit) -> array:
     itself.  ``ready`` stops at the highest wire a gate touches, so a
     large declared width costs nothing by itself.  Where that wire is
     past the number of operand slots, the touched wires are renumbered
-    densely first, so ``ready`` never outgrows the gates.  The operands
-    become lists 65,536 gates at a time: the walk keeps little but steps."""
+    densely first, so ``ready`` never outgrows the gates.  The walk reads
+    the operand slots in place, through the views ``Circuit._columns()``
+    gives (or the same views of the renumbered table): it keeps little
+    but steps."""
     _, ops = circuit._table()
     if int(ops.max(initial=-1)) + 1 > ops.size:
         wires, dense = np.unique(ops.reshape(-1), return_inverse=True)
@@ -107,20 +109,19 @@ def _walk_steps(circuit: Circuit) -> array:
     ready = [0] * (int(ops.max(initial=-1)) + 1)
     steps = array("i")
     place = steps.append
-    # an unused operand slot holds -1
-    for lo in range(0, len(ops), 1 << 16):
-        for a, b, c in zip(*ops[lo : lo + (1 << 16)].T.tolist()):
-            t = ready[a]
-            if b >= 0:
-                if ready[b] > t:
-                    t = ready[b]
-                if c >= 0:
-                    if ready[c] > t:
-                        t = ready[c]
-                    ready[c] = t + 1
-                ready[b] = t + 1
-            ready[a] = t + 1
-            place(t)
+    flat = memoryview(ops.reshape(-1))  # an unused operand slot holds -1
+    for a, b, c in zip(flat[0::3], flat[1::3], flat[2::3]):
+        t = ready[a]
+        if b >= 0:
+            if ready[b] > t:
+                t = ready[b]
+            if c >= 0:
+                if ready[c] > t:
+                    t = ready[c]
+                ready[c] = t + 1
+            ready[b] = t + 1
+        ready[a] = t + 1
+        place(t)
     return steps
 
 
@@ -129,16 +130,13 @@ def metrics(circuit: Circuit) -> Metrics:
     # the steps ``route_linear`` kept, unless the circuit has grown since
     steps = circuit._steps if len(circuit._steps) == len(circuit) else _walk_steps(circuit)
     per_step = np.bincount(np.frombuffer(steps, dtype=np.int32))
-    total = len(circuit)
     depth = len(per_step)
-    max_conc = int(per_step.max(initial=0))
-    mean = total / depth if depth else 0.0
     return Metrics(
         depth=depth,
-        total_gates=total,
+        total_gates=len(circuit),
         width=circuit.width,
-        max_concurrency=max_conc,
-        mean_concurrency=mean,
+        max_concurrency=int(per_step.max(initial=0)),
+        mean_concurrency=len(circuit) / depth if depth else 0.0,
     )
 
 
@@ -251,6 +249,7 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     if three.size:
         raise CircuitError(f"gates[{three[0]}]: cannot route a TOFFOLI; run decompose_toffoli first")
     used = int(ops_in.max(initial=-1)) + 1  # the wires above never move
+    _, column_a, column_b, _ = circuit._columns()
     pos = list(range(used))  # qubit -> position
     holder = list(range(used))  # position -> qubit
     ready = [0] * used  # position -> first free timestep
@@ -264,7 +263,7 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     # The lower operand marches up to the upper one, carrying its ready
     # time t: each SWAP it makes lands at t, or later if the position
     # ahead is busy, and leaves the position behind it ready one step later.
-    for a, b in zip(*ops_in[:, :2].T.tolist()):
+    for a, b in zip(column_a, column_b):
         lo = pos[a]
         note_a(lo)
         if b < 0:
@@ -303,19 +302,25 @@ def route_linear(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     nswap = np.where(two, np.abs(pa - pb) - 1, 0)
     land = np.cumsum(nswap + 1, dtype=np.int32) - 1  # output row of each input gate
     total = len(steps)
-    # every row is first filled as a SWAP of its gate's march (row
-    # land - nswap + k on start + k); the input gates' rows are then
-    # overwritten: the marcher ends beside the operand it marched to
+    # the routed circuit's own buffers, filled in place: every row is
+    # first a SWAP of its gate's march (row land - nswap + k on start + k);
+    # the input gates' rows are then overwritten: the marcher ends beside
+    # the operand it marched to
     start = np.where(two, np.minimum(pa, pb), pa)
-    routed_ops = np.full((total, 3), -1, dtype=np.int32)
-    routed_ops[:, 0] = np.arange(total, dtype=np.int32) - np.repeat(land - nswap - start, nswap + 1)
+    kinds, ops = array("B", [_SWAP]) * total, array("i", [-1]) * (3 * total)
+    routed_ops = np.frombuffer(ops, dtype=np.int32).reshape(total, 3)
+    rise = routed_ops[:, 1]  # summed into the first operands
+    rise[:] = 1
+    first = land - nswap  # the first row of each input gate's march
+    rise[first] = start
+    rise[first[1:]] -= (start + nswap)[:-1]  # less where the march before ended
+    np.cumsum(rise, dtype=np.int32, out=routed_ops[:, 0])
     np.add(routed_ops[:, 0], 1, out=routed_ops[:, 1])
     routed_ops[land, 0] = np.where(up, pb - 1, pa)
     routed_ops[land, 1] = np.where(two, np.where(up, pb, pa - 1), -1)
-    kinds = np.full(total, _SWAP, dtype=np.uint8)
-    kinds[land] = kinds_in
+    np.frombuffer(kinds, dtype=np.uint8)[land] = kinds_in
     # valid by construction
-    routed = Circuit._from_valid(circuit.width, circuit.registers, kinds, routed_ops)
+    routed = Circuit._from_valid(circuit.width, circuit.registers, kinds, ops)
     routed._steps = steps
     return routed, tuple(pos)
 

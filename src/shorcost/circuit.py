@@ -9,7 +9,8 @@ adjoint) that appear only after Toffoli decomposition.
 Gates are stored as two flat arrays: one ``uint8`` kind code per gate
 (``KIND_CODE``) and an ``int32`` operand table with three slots per gate,
 -1 marking an unused slot.  Only this module touches them: a pass reads
-``_table()`` and builds through ``_from_valid``.  Every gate is validated
+``_table()``, or ``_columns()`` where it walks gate by gate, and builds
+through ``_from_valid``.  Every gate is validated
 once, where it enters: the emitters (``append``, ``x``, ``cx``, ...)
 check each gate with plain int comparisons, ``from_dict`` hands each gate
 of a document, in order, to ``Gate`` and ``append``, and only
@@ -280,10 +281,15 @@ class Circuit:
 
     @classmethod
     def _from_valid(cls, width: int, registers: Iterable[Register], kinds, ops) -> "Circuit":
-        """A circuit holding gates known to be valid on ``width`` wires, as integer
-        arrays in the ``as_arrays`` layout; narrowing cannot wrap, and each is
-        copied once."""
+        """A circuit holding gates known to be valid on ``width`` wires.  An
+        ``array("B")`` of kind codes and an ``array("i")`` of operands, three
+        slots per gate, become the circuit's own buffers, so a pass that fills
+        them writes each gate once; integer arrays in the ``as_arrays`` layout
+        are copied once, and narrowing them cannot wrap."""
         c = cls(width, registers)
+        if isinstance(kinds, array):
+            c._kinds, c._ops = kinds, ops
+            return c
         c._kinds.frombytes(np.ascontiguousarray(kinds, np.uint8))
         c._ops.frombytes(np.ascontiguousarray(ops, np.int32).reshape(-1).view(np.uint8))
         return c
@@ -431,6 +437,14 @@ class Circuit:
         ops = np.frombuffer(self._ops, dtype=np.int32).reshape(-1, 3)
         kinds.flags.writeable = ops.flags.writeable = False
         return kinds, ops
+
+    def _columns(self) -> tuple[memoryview, memoryview, memoryview, memoryview]:
+        """Read-only 1-D views of the kind codes and of each operand slot,
+        for a loop over the gates: iterating one yields plain ints and copies
+        nothing.  Like ``_table()``'s views, they block appends until dropped."""
+        kinds, ops = self._table()
+        flat = memoryview(ops.reshape(-1))
+        return memoryview(kinds), flat[0::3], flat[1::3], flat[2::3]
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the gate arrays: ``uint8`` kind codes (see ``KIND_CODE``)

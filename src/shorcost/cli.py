@@ -29,6 +29,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -163,17 +164,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if cx is None:
         print(json.dumps({"result": "pass", "cases": cases}))
         return EXIT_OK
-    print(
-        json.dumps(
-            {
-                "result": "counterexample",
-                "input_registers": cx.input_registers,
-                "expected": cx.expected,
-                "actual": cx.actual,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps({"result": "counterexample", **asdict(cx)}, sort_keys=True))
     return EXIT_COUNTEREXAMPLE
 
 
@@ -222,14 +213,8 @@ def _model(name: str) -> QuantumModel:
 
 def _cmd_scale(args: argparse.Namespace) -> int:
     models = [_model(name) for name in args.models.split(",") if name]
-    rows = series(
-        models,
-        _parse_floats(args.clocks),
-        _parse_floats(args.compute_factors),
-        args.n_from,
-        args.n_to,
-        args.points,
-    )
+    clocks, factors = _parse_floats(args.clocks), _parse_floats(args.compute_factors)
+    rows = series(models, clocks, factors, args.n_from, args.n_to, args.points)
     if args.csv:
         lines = ["n,series,clock_hz,compute_factor,seconds"]
         for r in rows:

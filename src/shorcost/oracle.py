@@ -13,6 +13,8 @@ states and keeps one Python int per wire, whose bit i is that wire's value
 in state i of the chunk.  A gate is then one big-int operation for the
 whole chunk: NOT XORs the row with all-ones, CNOT XORs one row into
 another, TOFFOLI XORs in the AND of two rows and SWAP exchanges two rows.
+The gates are read in place from ``Circuit._columns()``, so the circuit
+must not grow during a check: an append raises ``BufferError``.
 Register values move into and out of rows with numpy ``unpackbits`` /
 ``packbits``, 64 bits at a time.  Values of up to 64 bits are copied into
 an ``array("Q")`` buffer, which numpy reads as bytes without parsing each
@@ -70,18 +72,18 @@ class NonClassicalGateError(CircuitError):
     """Raised when simulation meets a gate with no basis-state action."""
 
 
-_Program = tuple[list[int], list[int], list[int], list[int]]
-"""Columns of plain ints: each gate's kind code and its three operand
-slots, an unused slot holding -1."""
+_Program = tuple[memoryview, memoryview, memoryview, memoryview]
+"""The circuit's gate columns from ``Circuit._columns()``: each gate's kind
+code and its three operand slots, an unused slot holding -1.  They read the
+circuit's own buffers, which cannot grow while the columns live."""
 
 
 def _program(circuit: Circuit) -> tuple[_Program, int]:
     """The gate columns, and the number of wires in use: one past the
     highest wire that a gate or a register touches."""
-    kinds, ops = circuit._table()
     ends = [r.offset + r.length for r in circuit.registers]
-    wires = max([int(ops.max(initial=-1)) + 1, *ends])
-    return (kinds.tolist(), *ops.T.tolist()), wires
+    wires = max([int(circuit._table()[1].max(initial=-1)) + 1, *ends])
+    return circuit._columns(), wires
 
 
 def _non_classical(code: int) -> NonClassicalGateError:
@@ -394,7 +396,9 @@ def exhaustive_check(
     answer naming a register the circuit lacks raises ``CircuitError``.
     Returns the first counterexample in product order, or None on a clean pass.
     The product is streamed, so memory does not grow with the domain, and
-    the check stops at the chunk holding the first counterexample.
+    the check stops at the chunk holding the first counterexample.  The
+    check reads the circuit's gates in place, so the circuit must not grow
+    while it runs: an append to it, from ``spec`` say, raises ``BufferError``.
     """
     _validate_domain(circuit, domain)
     return _check(circuit, spec, _product_chunks(domain))
@@ -417,7 +421,8 @@ def randomized_check(
     up front, as in ``exhaustive_check``, so a value that is not an integer
     or does not fit its register is refused even if no trial would draw
     it.  Trials are drawn one chunk at a time, so memory does not grow
-    with ``trials``.
+    with ``trials``.  As in ``exhaustive_check``, the circuit must not grow
+    while the check runs.
     """
     try:
         trials = operator.index(trials)

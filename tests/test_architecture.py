@@ -178,6 +178,23 @@ def test_router_peak_memory_is_bounded_by_its_output():
     assert peak - before < 2.75 * (kept - before)
 
 
+def test_router_writes_its_output_into_the_routed_circuit():
+    """The router fills the routed circuit's own buffers, so no second copy
+    of the routed gates is ever alive: the peak above what it keeps is its
+    per-input-gate bookkeeping, not another routed table."""
+    c = decompose_toffoli(build_modexp(ModexpSpec(n=5, modulus=29, base=3)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        routed, _ = route_linear(c)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.85 * (kept - before), (peak - before) / (kept - before)
+    # nothing the router made still holds the routed circuit's buffers
+    assert len(routed.x(0)) == len(routed._steps) + 1
+
+
 def classical_stand_in(lowered):
     """``lowered`` with CV and CVDAG relabelled CNOT: the same operands, so
     the same routing, but a circuit ``simulate_mask`` can run."""

@@ -203,6 +203,61 @@ def test_inverse_reverses_and_preserves_counts(c):
     assert [g.operands for g in inv.gates] == [g.operands for g in reversed(c.gates)]
 
 
+def _rows_of_columns(c):
+    """The gates as ``[kind, a, b, c]`` rows read through ``_columns()``."""
+    return [list(row) for row in zip(*c._columns())]
+
+
+def _rows_of_arrays(c):
+    kinds, ops = c.as_arrays()
+    return [[k, *row] for k, row in zip(kinds.tolist(), ops.tolist())]
+
+
+@st.composite
+def column_circuits(draw):
+    """Circuits built every way a circuit is made: by emitters, by
+    ``append_circuit``, by ``inverse()`` and by ``_from_valid``."""
+    c = draw(circuits())
+    how = draw(st.sampled_from(["emitted", "appended", "inverse", "from_valid", "empty"]))
+    if how == "appended":
+        return Circuit(c.width).append_circuit(c).append_circuit(draw(circuits(max_width=c.width)))
+    if how == "inverse":
+        return c.inverse()
+    if how == "from_valid":
+        return Circuit._from_valid(c.width, c.registers, *c.as_arrays())
+    if how == "empty":
+        return Circuit(c.width)
+    return c
+
+
+@given(column_circuits())
+@settings(max_examples=80)
+def test_columns_equal_as_arrays_row_for_row(c):
+    columns = c._columns()
+    assert all(isinstance(col, memoryview) and col.readonly for col in columns)
+    assert [len(col) for col in columns] == [len(c)] * 4
+    assert all(type(v) is int for col in columns for v in col)
+    assert _rows_of_columns(c) == _rows_of_arrays(c)
+
+
+def test_columns_block_appends_until_dropped():
+    c = Circuit(3).x(0).cx(0, 1)
+    kinds, a, b, t = c._columns()
+    with pytest.raises(TypeError):
+        a[0] = 2
+    del kinds, b, t
+    with pytest.raises(BufferError):
+        c.x(2)
+    assert len(c) == 2
+    del a
+    c.x(2)
+    assert _rows_of_columns(c) == [
+        [KIND_CODE[GateKind.NOT], 0, -1, -1],
+        [KIND_CODE[GateKind.CNOT], 0, 1, -1],
+        [KIND_CODE[GateKind.NOT], 2, -1, -1],
+    ]
+
+
 # ---------------------------------------------------------------------------
 # reading the dumps layout as arrays
 

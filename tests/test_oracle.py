@@ -392,6 +392,39 @@ def test_rows_are_sized_by_the_wires_in_use():
     assert peak < 4 << 20
 
 
+def test_oracle_peak_memory_per_gate():
+    """Serial modexp at n=6 over all 2^12 exponents: the gate loop reads the
+    circuit's own columns, so the peak holds no per-gate list of the table."""
+    from shorcost.arithmetic import ModexpSpec, build_modexp
+
+    c = build_modexp(ModexpSpec(n=6, modulus=59, base=2))
+    domain, spec = contract("modexp", c, modulus=59, const=2)
+    assert domain_size(domain) == 1 << 12
+    tracemalloc.start()
+    try:
+        assert exhaustive_check(c, spec, domain) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * len(c), peak / len(c)
+
+
+def test_a_spec_that_grows_the_circuit_under_check_is_refused():
+    c = Circuit(2, [("a", 0, 1), ("b", 1, 1)]).cx(0, 1)
+
+    def grower(vals):
+        c.x(0)
+        return {"b": vals["a"] ^ vals["b"]}
+
+    domain = {"a": range(2), "b": range(2)}
+    with pytest.raises(BufferError):
+        exhaustive_check(c, grower, domain)
+    with pytest.raises(BufferError):
+        randomized_check(c, grower, domain, trials=4, seed=0)
+    assert len(c) == 1
+    assert exhaustive_check(c, _xor_spec(c), domain) is None
+
+
 def _copy_circuit():
     """17-bit copy b ^= a, checked against a spec that is wrong at one input."""
     c = Circuit(34, [("a", 0, 17), ("b", 17, 17)])

@@ -49,9 +49,9 @@ def test_per_wire_state_is_sized_by_the_wires_in_use():
 
 
 def test_metrics_walk_holds_few_bytes_per_gate():
-    """Serial CDKM modexp at n=16: the walk turns the operands into lists a
-    slice at a time, so the peak is the steps, their histogram and the
-    integer copy ``bincount`` makes, not three lists of the whole table."""
+    """Serial CDKM modexp at n=16: the walk reads the operand columns in
+    place, so the peak is the steps, their histogram and the integer copy
+    ``bincount`` makes, not three lists of the whole table."""
     c = build_modexp(ModexpSpec(n=16, modulus=40009, base=2))
     tracemalloc.start()
     try:
