@@ -151,16 +151,22 @@ def decompose_toffoli(circuit: Circuit) -> Circuit:
     kinds, ops = circuit._table()
     toffoli = kinds == _TOFFOLI
     count = np.where(toffoli, 5, 1)
-    first = (np.cumsum(count) - count)[toffoli]  # where each expansion starts
-    out_kinds = np.repeat(kinds, count)
-    out_ops = np.repeat(ops, count, axis=0)
+    start = np.cumsum(count) - count  # where each gate's output begins
+    total = int(count.sum())
+    # the output's own buffers, filled in place: each gate lands at its start,
+    # and each TOFFOLI's five rows are then written over it
+    out_kinds, out_ops = array("B", [0]) * total, array("i", [-1]) * (3 * total)
+    new_kinds = np.frombuffer(out_kinds, dtype=np.uint8)
+    new_ops = np.frombuffer(out_ops, dtype=np.int32).reshape(total, 3)
+    new_kinds[start], new_ops[start] = kinds, ops
+    first = start[toffoli]
     a, b, t = ops[toffoli].T
-    unused = np.full_like(a, -1)
+    new_ops[first, 2] = -1
     for step, (kind, pair) in enumerate(
         [(_CV, (b, t)), (_CNOT, (a, b)), (_CVDAG, (b, t)), (_CNOT, (a, b)), (_CV, (a, t))]
     ):
-        out_kinds[first + step] = kind
-        out_ops[first + step] = np.stack([*pair, unused], axis=1)
+        new_kinds[first + step] = kind
+        new_ops[first + step, 0], new_ops[first + step, 1] = pair
     # computed from a valid circuit, so not checked again (see ``Circuit``)
     return Circuit._from_valid(circuit.width, circuit.registers, out_kinds, out_ops)
 

@@ -10,11 +10,11 @@ Gates are stored as two flat arrays: one ``uint8`` kind code per gate
 (``KIND_CODE``) and an ``int32`` operand table with three slots per gate,
 -1 marking an unused slot.  Only this module touches them: a pass reads
 ``_table()``, or ``_columns()`` where it walks gate by gate, and builds
-through ``_from_valid``.  Every gate is validated
-once, where it enters: the emitters (``append``, ``x``, ``cx``, ...)
-check each gate with plain int comparisons, ``from_dict`` hands each gate
-of a document, in order, to ``Gate`` and ``append``, and only
-``from_arrays`` checks a whole array at a time.  ``append_circuit`` and
+through ``_from_valid``.  Every gate is validated once, where it enters:
+the emitters (``append``, ``x``, ``cx``, ...) check each gate with plain
+int comparisons, ``from_dict`` hands each gate of a document, in order, to
+``Gate`` and ``append``, and only ``from_arrays`` checks a whole array at
+a time (``loads`` hands it one row per distinct gate).  ``append_circuit`` and
 ``_from_valid`` take gates computed from circuits that were checked, so
 neither checks anything again.  A block that a builder repeats is
 recorded once, in a circuit of its own, and every repeat, its uncompute
@@ -24,16 +24,14 @@ Gate order is execution order.  There is no DAG here; data dependencies
 are recovered by ``metrics`` (see ``architecture``) from operand overlap.
 
 ``dumps`` writes the circuit's document as JSON indented by 2.  It and
-``gates`` know each gate by one integer key, worked out with numpy a
-slice at a time: ``((kind*R + a+1)*R + b+1)*R + c+1``, where R is the
-largest operand plus 2 and an unused slot's -1 becomes 0.  The keys are
-``int64`` while ``len(_KINDS) * R**3 < 2**63`` and Python ints in an
-``object`` array past that, and each distinct key's text or ``Gate`` is
-made once and shared.  ``loads`` reads text in exactly that layout as
-arrays, with a few byte passes over the gate block instead of a JSON
-object tree, and keeps the circuit only if it dumps back to the same
-text; any other layout, and any document that is not a valid circuit,
-goes through ``from_dict``.
+``gates`` know each gate by one integer key, ``((kind*R + a+1)*R +
+b+1)*R + c+1`` with R the largest operand plus 2 (-1 becomes 0): an
+``int64`` while ``len(_KINDS) * R**3 < 2**63``, a Python int past that.
+``np.unique`` maps each slice of keys to the distinct ones, whose text or
+``Gate`` is made once and shared.  ``loads`` reads text in exactly that
+layout by the same vocabulary: it parses each distinct gate text once and
+proves it is what ``dumps`` writes for that gate, so nothing is dumped
+again; other text, and any invalid circuit, goes through ``from_dict``.
 """
 
 from __future__ import annotations
@@ -95,8 +93,7 @@ KIND_CODE: dict[GateKind, int] = {kind: code for code, kind in enumerate(_KINDS)
 """Array code of each gate kind; ``Circuit.as_arrays`` holds these."""
 
 _NOT, _CNOT, _TOFFOLI, _SWAP, _CV, _CVDAG = range(len(_KINDS))
-_KIND_BY_NAME = {kind.value: kind for kind in _KINDS}
-_UNKNOWN = 255  # code of a kind name the ``dumps``-layout reader does not know
+_CODE_BY_NAME = {kind.value: code for code, kind in enumerate(_KINDS)}
 _ARITIES = tuple(GATE_ARITY[kind] for kind in _KINDS)
 _ARITY = np.array(_ARITIES, dtype=np.int8)
 _INVERSE_CODE = np.array([KIND_CODE[_INVERSE_KIND[kind]] for kind in _KINDS], np.uint8)
@@ -301,7 +298,11 @@ class Circuit:
             self._ops.fromlist(slots)  # all three slots or none
         except TypeError:  # not an integer; the range check passed
             raise _gate_error(code, tuple(slots[: _ARITIES[code]]), self.width) from None
-        self._kinds.append(code)
+        try:
+            self._kinds.append(code)
+        except BufferError:  # a view of the kinds lives: take the slots back
+            del self._ops[-3:]
+            raise
 
     def _one(self, code: int, a: int) -> "Circuit":
         try:
@@ -371,8 +372,13 @@ class Circuit:
             raise CircuitError(
                 f"a circuit of width {other.width} does not fit in width {self.width}"
             )
-        self._kinds.extend(other._kinds)
+        n = len(self._ops)
         self._ops.extend(other._ops)
+        try:
+            self._kinds.extend(other._kinds)
+        except BufferError:  # a view of the kinds lives: take the operands back
+            del self._ops[n:]
+            raise
         return self
 
     # -- queries -----------------------------------------------------
@@ -402,33 +408,31 @@ class Circuit:
         return self._view
 
     def _each_distinct(self, make: Callable[[tuple[int, int, int, int]], _T]) -> Iterator[_T]:
-        """``make((kind, a, b, c))`` of each gate, in order.  A circuit
-        repeats a small vocabulary of gates many times over, so ``make`` runs
-        once per distinct gate and its result is shared.
-
-        Each gate is known by one integer, ``((kind*R + a+1)*R + b+1)*R + c+1``
-        with R the largest operand plus 2, worked out with numpy a slice of
-        ``_SLICE`` gates at a time as the iterator reaches it.  The keys are
-        ``int64`` while ``len(_KINDS) * R**3 < 2**63``, that is for operands
-        below about 2^20, and Python ints in an ``object`` array past that.
-        Gates never change once appended, so the iterator stays right if the
-        circuit grows; it yields the gates there were when it was made."""
+        """``make((kind, a, b, c))`` of each gate, in order, run once per
+        distinct gate and shared.  Each gate is known by one integer,
+        ``((kind*R + a+1)*R + b+1)*R + c+1`` with R the largest operand plus 2:
+        an ``int64`` while ``len(_KINDS) * R**3 < 2**63`` (operands below about
+        2^20), a Python int in an ``object`` array past that.  Keys are worked
+        out a slice of ``_SLICE`` gates at a time as the iterator reaches it,
+        and it yields the gates there were when it was made."""
         n = len(self)
         radix = int(self._table()[1].max(initial=-1)) + 2
         dtype = np.int64 if len(_KINDS) * radix**3 < 1 << 63 else object
         look_up = _Made(make, radix).__getitem__
         return chain.from_iterable(
-            map(look_up, self._keys(lo, min(n, lo + _SLICE), radix, dtype))
+            self._made(lo, min(n, lo + _SLICE), radix, dtype, look_up)
             for lo in range(0, n, _SLICE)
         )
 
-    def _keys(self, lo: int, hi: int, radix: int, dtype: type) -> list[int]:
-        """The keys of ``_each_distinct`` for gates ``lo:hi``."""
+    def _made(self, lo: int, hi: int, radix: int, dtype: type, look_up: Callable) -> np.ndarray:
+        """``look_up`` of the key of each of gates ``lo:hi``, called once per
+        distinct key and gathered by ``np.unique``'s inverse."""
         kinds, ops = self._table()
         key = kinds[lo:hi].astype(dtype)
         for slot in ops[lo:hi].T:
             key = key * radix + (slot + 1)
-        return key.tolist()
+        keys, inverse = np.unique(key, return_inverse=True)
+        return np.fromiter(map(look_up, keys.tolist()), object, len(keys))[inverse]
 
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views of the gates in the ``as_arrays`` layout.  Drop them
@@ -497,44 +501,46 @@ class Circuit:
                 name, ops = g["kind"], g["operands"]
                 _expect([name], str, f"{where}.kind")
                 _expect([ops], list, f"{where}.operands")
-                if name not in _KIND_BY_NAME:
+                if name not in _CODE_BY_NAME:
                     raise CircuitError(f"{where}: unknown gate kind {name!r}")
                 try:
-                    c.append(Gate(_KIND_BY_NAME[name], ops))
+                    c.append(Gate(_KINDS[_CODE_BY_NAME[name]], ops))
                 except CircuitError as exc:
                     raise CircuitError(f"{where}: {exc}") from None
         except KeyError as exc:
             raise CircuitError(f"malformed circuit document: missing field {exc}") from None
         return c
 
+    def _head(self) -> str:
+        """``dumps`` of the circuit with its gates left out."""
+        registers = [
+            {"name": r.name, "offset": r.offset, "length": r.length} for r in self.registers
+        ]
+        return json.dumps({"width": self.width, "registers": registers, "gates": []}, indent=2)
+
     def dumps(self) -> str:
         """JSON text indented by 2 and newline-ended: the width, each
         register's name, offset and length, then each gate's kind name and
         operands."""
-        registers = [
-            {"name": r.name, "offset": r.offset, "length": r.length} for r in self.registers
-        ]
-        head = json.dumps({"width": self.width, "registers": registers, "gates": []}, indent=2)
+        head = self._head()
         if not len(self):
             return head + "\n"
         # one join writes the whole text: each concatenation after it
         # would copy every byte again
         parts = list(self._each_distinct(_gate_json))
-        parts[0] = head[: -len("[]\n}")] + "[\n" + parts[0]
-        parts[-1] += "\n  ]\n}\n"
+        parts[0] = head[: -len("]\n}")] + "\n" + parts[0]
+        parts[-1] += _END
         return ",\n".join(parts)
 
     @classmethod
     def loads(cls, text: str) -> "Circuit":
         """The circuit a JSON document describes.  Text in the exact layout
-        ``dumps`` writes is read as arrays, and kept only if the circuit
-        dumps back to the same text; any other text goes through
-        ``from_dict``, which also words every error.  Text nested too
-        deeply to parse raises ``CircuitError`` too."""
+        ``dumps`` writes is read by its gate vocabulary (see
+        ``_from_dumps_text``); any other text goes through ``from_dict``,
+        which also words every error.  Text nested too deeply to parse
+        raises ``CircuitError`` too."""
         try:
-            c = cls.from_arrays(*_dumps_layout_arrays(text))
-            if c.dumps() == text:
-                return c
+            return cls._from_dumps_text(text)
         except (ValueError, LookupError, TypeError, RecursionError):  # not a valid dumps layout
             pass
         try:
@@ -542,6 +548,40 @@ class Circuit:
         except RecursionError:
             raise CircuitError("circuit document nests too deeply to read") from None
         return cls.from_dict(data)
+
+    @classmethod
+    def _from_dumps_text(cls, text: str) -> "Circuit":
+        """The circuit whose ``dumps()`` is ``text``; ``ValueError``,
+        ``LookupError`` or ``TypeError`` for any other text.  The header must
+        be what ``dumps`` writes for it.  The gate block is split on ``{``
+        about ``_WINDOW`` characters at a time, and ``_parse_piece`` proves
+        each distinct piece, once, to be its gate's text.  ``from_arrays``
+        checks one row per distinct gate; each gate's row is gathered by id."""
+        header = json.loads(text[: text.index('"gates": [')] + '"gates": []}')
+        regs = [(r["name"], r["offset"], r["length"]) for r in header["registers"]]
+        c = cls(header["width"], regs)
+        head = c._head()
+        if text == head + "\n":
+            return c
+        if not (text.startswith(head[: -len("]\n}")] + "\n    {") and text.endswith(_END)):
+            raise ValueError("not the dumps layout")
+        ids, vocabulary, rows = [], {}, []
+        lo = len(head) - len("]\n}") + len("\n    {")
+        while lo:  # the last window ends the document, and sets lo to 0
+            hi = text.find("{", lo + _WINDOW)
+            pieces = (text[lo:hi] if hi >= 0 else text[lo : -len(_END)] + ",\n    ").split("{")
+            for piece in dict.fromkeys(pieces).keys() - vocabulary.keys():
+                vocabulary[piece] = len(rows)
+                rows.append(_parse_piece(piece))
+            ids.append(np.fromiter(map(vocabulary.__getitem__, pieces), np.int32, len(pieces)))
+            lo = hi + 1
+        table = np.array(rows, dtype=np.int64)
+        kinds, ops = cls.from_arrays(c.width, (), table[:, 0], table[:, 1:])._table()
+        gather = np.concatenate(ids)
+        c._kinds, c._ops = array("B", [0]) * len(gather), array("i", [0]) * (3 * len(gather))
+        np.take(kinds, gather, 0, np.frombuffer(c._kinds, np.uint8), "clip")
+        np.take(ops, gather, 0, np.frombuffer(c._ops, np.int32).reshape(-1, 3), "clip")
+        return c
 
 
 _JSON_TYPE = {
@@ -592,54 +632,6 @@ def _gate_json(key: tuple[int, int, int, int]) -> str:
     return _GATE_TEXT[k] % (a, b, c)[: _ARITIES[k]]
 
 
-_GATES_LINE = '\n  "gates": [\n'
-
-# every byte but the commas, digits and upper-case letters of a gate block
-_SPACING = bytes(b for b in range(256) if b not in b",0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
-# kind code of a name by its first letter and its length, which tell the
-# six kinds apart, in a 26 x 9 table (length 8 stands for any longer name)
-_SHAPE_CODE = {(ord(k.value[0]) - ord("A"), len(k.value)): code for code, k in enumerate(_KINDS)}
-_NAME_CODE = bytes(_SHAPE_CODE.get(divmod(i, 9), _UNKNOWN) for i in range(26 * 9))
-
-
-def _dumps_layout_arrays(text: str) -> tuple[int, list, np.ndarray, np.ndarray]:
-    """Width, registers, kind codes and operands read from text laid out as
-    ``dumps`` writes it; what they hold is unchecked.
-
-    The header before the gates line is parsed as JSON.  The gate block is
-    cut down to its commas, digits and upper-case letters, which leaves a
-    comma-separated list of kind names, each known by its first letter and
-    its length, and operands; the operands fill each gate's slots in
-    order."""
-    head, found, block = text.partition(_GATES_LINE)
-    if not found:
-        raise ValueError("no gates line")
-    header = json.loads(head + '"gates": []}')
-    registers = [(r["name"], r["offset"], r["length"]) for r in header["registers"]]
-    raw = np.frombuffer(b"," + block.encode("ascii").translate(None, _SPACING), dtype=np.uint8)
-    starts = np.flatnonzero(raw == ord(",")) + 1
-    lengths = np.diff(starts, append=len(raw) + 1) - 1
-    first = raw[starts]
-    names = first >= ord("A")
-    table = np.frombuffer(_NAME_CODE, dtype=np.uint8).reshape(26, 9)
-    kinds = table[first[names] - ord("A"), np.minimum(lengths[names], 8)]
-    starts, lengths = starts[~names], lengths[~names]
-    longest = int(lengths.max(initial=0))
-    if longest > 10:  # more digits than any int32 operand has
-        raise ValueError("operand too long")
-    values = np.zeros(len(starts), dtype=np.int64)
-    for k in range(longest):
-        more = np.flatnonzero(lengths > k)
-        values[more] = values[more] * 10 + (raw[starts[more] + k] - ord("0"))
-    counts = _ARITY[kinds]
-    if counts.sum() != len(values):
-        raise ValueError("operand count")
-    ops = np.full((len(kinds), 3), -1, dtype=np.int64)
-    ops[np.arange(3) < counts[:, None]] = values
-    return header["width"], registers, kinds, ops
-
-
 def _gate_text(kind: GateKind) -> str:
     """``dumps`` template of one gate: what ``json.dumps(indent=2)`` writes
     for it at depth 2, with a ``%d`` per operand."""
@@ -655,3 +647,20 @@ def _gate_text(kind: GateKind) -> str:
 
 
 _GATE_TEXT = tuple(_gate_text(kind) for kind in _KINDS)
+
+# a gate's text past its ``{`` and the separator (or ``_END``) up to the next
+_PIECE = tuple(text[len("    {"):] + ",\n    " for text in _GATE_TEXT)
+_END = "\n  ]\n}\n"
+_NAME_AT = len('\n      "kind": "')
+_WINDOW = 1 << 18  # characters of gate block ``loads`` splits at a time
+
+
+def _parse_piece(piece: str) -> tuple[int, ...]:
+    """``(kind, a, b, c)`` of the gate whose ``_PIECE`` text ``piece`` is,
+    -1 in the unused slots; ``ValueError``, ``LookupError`` or ``TypeError``
+    if it is no gate's."""
+    code = _CODE_BY_NAME[piece[_NAME_AT : piece.index('"', _NAME_AT)]]
+    ops = tuple(map(int, piece[piece.index("[") + 1 : piece.index("]")].split(",")))
+    if piece != _PIECE[code] % ops or max(map(abs, ops)) >= 10**10:  # 10 digits hold an int32
+        raise ValueError("not the dumps text of a gate")
+    return (code, *ops, -1, -1)[:4]

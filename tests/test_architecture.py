@@ -178,6 +178,21 @@ def test_router_peak_memory_is_bounded_by_its_output():
     assert peak - before < 2.75 * (kept - before)
 
 
+def test_decompose_toffoli_writes_its_output_once():
+    # the output's buffers are filled in place, not built as arrays and
+    # then copied into the circuit
+    c = build_modexp(ModexpSpec(n=5, modulus=29, base=3))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dec = decompose_toffoli(c)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dec) > 2 * len(c)
+    assert peak - before <= 2.2 * (kept - before)
+
+
 def test_router_writes_its_output_into_the_routed_circuit():
     """The router fills the routed circuit's own buffers, so no second copy
     of the routed gates is ever alive: the peak above what it keeps is its

@@ -1,9 +1,11 @@
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shorcost import circuit
 from shorcost.circuit import (
     GATE_ARITY,
     KIND_CODE,
@@ -271,12 +273,36 @@ def documents(draw):
     operands = [i for i in range(gates_at, len(text) - 1)
                 if text[i].isdigit() and text[i - 1] == " "]
     kinds = [i + len('"kind": "') for i in range(len(text)) if text.startswith('"kind": "', i)]
+    braces = [i for i in range(gates_at, len(text)) if text[i] == "{"]
     how = draw(st.sampled_from(
-        ["same", "zero", "minus", "case", "newline", "compact", "truncate", "byte"]
+        ["same", "zero", "minus", "case", "newline", "compact", "truncate", "byte",
+         "brace", "unbrace", "long", "digit", "crlf", "name", "ending"]
     ))
     if how == "zero" and operands:
         i = draw(st.sampled_from(operands))
-        return text[:i] + "0" + text[i:]
+        return text[:i] + draw(st.sampled_from(["0", "00"])) + text[i:]
+    if how == "brace" and gates_at < len(text):
+        i = draw(st.integers(gates_at, len(text) - 1))
+        return text[:i] + "{" + text[i:]
+    if how == "unbrace" and braces:
+        i = draw(st.sampled_from(braces))
+        return text[:i] + text[i + 1:]
+    if how in ("long", "digit") and operands:
+        i = draw(st.sampled_from(operands))
+        j = i + len(text[i:]) - len(text[i:].lstrip("0123456789"))
+        if how == "digit":  # digits that ``\d`` and ``int`` take and JSON does not
+            new = text[i:j - 1] + draw(st.sampled_from(["\u0663", "\uff13", "\u0969"]))
+        else:  # 10 digits, 11 digits, and past int64
+            new = str(draw(st.sampled_from([10**10 - 1, 10**10, 12345678901, 1 << 70])))
+        return text[:i] + new + text[j:]
+    if how == "ending":  # a byte of the text after the last gate
+        i = draw(st.integers(max(gates_at, len(text) - len("\n  ]\n}\n")), len(text) - 1))
+        return text[:i] + draw(st.sampled_from(list(" \n]}x"))) + text[i + 1:]
+    if how == "crlf":
+        return text.replace("\n", "\r\n")
+    if how == "name":
+        name = draw(st.sampled_from(["{", "a{b", "}{", '"gates": [', '\n  "gates": [\n    {']))
+        return Circuit(c.width, [(name, 0, c.width)]).append_circuit(c).dumps()
     if how == "minus" and operands:
         i = draw(st.sampled_from(operands))
         return text[:i] + "-" + text[i:]
@@ -307,16 +333,19 @@ def _outcome(read, text):
         return type(exc), str(exc)
 
 
-@given(documents())
-@settings(max_examples=300)
-def test_loads_agrees_with_from_dict(text):
-    assert _outcome(Circuit.loads, text) == _outcome(
-        lambda t: Circuit.from_dict(json.loads(t)), text
-    )
+@given(documents(), st.sampled_from([1, 40, 300, circuit._WINDOW]))
+@settings(max_examples=400)
+def test_loads_agrees_with_from_dict(text, window):
+    """Whatever windows the gate block is split in."""
+    with mock.patch.object(circuit, "_WINDOW", window):
+        assert _outcome(Circuit.loads, text) == _outcome(
+            lambda t: Circuit.from_dict(json.loads(t)), text
+        )
 
 
 def test_loads_reads_the_dumps_layout_without_from_dict(monkeypatch):
-    """``loads`` of ``dumps`` text never needs the JSON object tree."""
+    """``loads`` of ``dumps`` text never needs the JSON object tree, nor a
+    second ``dumps`` to prove the layout."""
     from shorcost.architecture import decompose_toffoli, route_linear
     from shorcost.arithmetic import ModexpSpec, build_modexp
 
@@ -324,13 +353,16 @@ def test_loads_reads_the_dumps_layout_without_from_dict(monkeypatch):
     routed, _ = route_linear(decompose_toffoli(built))
     bare = Circuit(3).x(0).cx(0, 1).ccx(0, 1, 2).swap(2, 0).cv(1, 2).cvdag(2, 1)
     widest = Circuit((1 << 31) - 1, [("top", (1 << 31) - 2, 1)]).cx((1 << 31) - 2, 0)
+    braced = Circuit(2, [('{"gates": [', 0, 1), ("}{", 1, 1)]).cx(1, 0)
+    texts = [(c, c.dumps()) for c in (built, routed, bare, widest, braced, Circuit(2))]
 
-    def refuse(cls, data):
-        raise AssertionError("from_dict called")
+    def refuse(*args):
+        raise AssertionError("from_dict or dumps called")
 
     monkeypatch.setattr(Circuit, "from_dict", classmethod(refuse))
-    for c in (built, routed, bare, widest):
-        assert Circuit.loads(c.dumps()) == c
+    monkeypatch.setattr(Circuit, "dumps", refuse)
+    for c, text in texts:
+        assert Circuit.loads(text) == c
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +454,14 @@ def test_loads_refuses_a_document_nested_too_deeply():
 def test_loads_lets_memory_errors_through(monkeypatch):
     """Only the errors of a text that is not in the ``dumps`` layout send
     ``loads`` to ``from_dict``; running out of memory is not one of them."""
-    import shorcost.circuit as circuit
 
-    def exhausted(text):
+    def exhausted(piece):
         raise MemoryError
 
     def refuse(cls, data):
         raise AssertionError("from_dict called")
 
-    monkeypatch.setattr(circuit, "_dumps_layout_arrays", exhausted)
+    monkeypatch.setattr(circuit, "_parse_piece", exhausted)
     monkeypatch.setattr(Circuit, "from_dict", classmethod(refuse))
     with pytest.raises(MemoryError):
         Circuit.loads(Circuit(2).cx(0, 1).dumps())
@@ -483,6 +514,30 @@ def test_table_views_are_read_only_and_must_be_dropped_before_growing():
     assert c.gates == (
         Gate(GateKind.NOT, (0,)), Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.NOT, (2,)),
     )
+
+
+@pytest.mark.parametrize("column", range(4), ids=["kinds", "a", "b", "c"])
+def test_an_emitter_refused_by_a_live_column_keeps_the_arrays_in_step(column):
+    c = Circuit(3).x(0)
+    view = c._columns()[column]
+    with pytest.raises(BufferError):
+        c.x(1)
+    del view
+    assert len(c._ops) == 3 * len(c) == 3
+    c.x(2)
+    assert c.gates == (Gate(GateKind.NOT, (0,)), Gate(GateKind.NOT, (2,)))
+
+
+@pytest.mark.parametrize("column", range(4), ids=["kinds", "a", "b", "c"])
+def test_append_circuit_refused_by_a_live_column_keeps_the_arrays_in_step(column):
+    c = Circuit(3).x(0)
+    view = c._columns()[column]
+    with pytest.raises(BufferError):
+        c.append_circuit(Circuit(3).cx(1, 2).ccx(0, 1, 2))
+    del view
+    assert len(c._ops) == 3 * len(c) == 3
+    c.append_circuit(Circuit(2).swap(0, 1))
+    assert c.gates == (Gate(GateKind.NOT, (0,)), Gate(GateKind.SWAP, (0, 1)))
 
 
 def test_extend():
